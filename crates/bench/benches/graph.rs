@@ -19,7 +19,7 @@ fn bench_graph(c: &mut Criterion) {
         Strategy::Atomic,
         Strategy::BlockCas { block_size: 1024 },
         Strategy::Keeper,
-        Strategy::Log,
+        Strategy::BlockPrivate { block_size: 1024 },
     ];
 
     let mut group = c.benchmark_group("graph_pagerank_10it");

@@ -212,11 +212,8 @@ mod tests {
             o.strategy,
             Some(spray::Strategy::BlockCas { block_size: 64 })
         );
-        let o = parse("--strategy segmented-5");
-        assert_eq!(
-            o.strategy,
-            Some(spray::Strategy::Segmented { bucket_bits: 5 })
-        );
+        let o = parse("--strategy map-hash");
+        assert_eq!(o.strategy, Some(spray::Strategy::MapHash));
         assert!(parse("").strategy.is_none());
     }
 

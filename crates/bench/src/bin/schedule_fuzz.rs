@@ -35,17 +35,6 @@
 //!   slabs or on scratch recycled from a previous region, and the
 //!   planted-migration drain fingerprint must replay identically.
 //!   Requires `--features verify`;
-//! * `--segmented N` — N seeds through the two-level segmented-reducer
-//!   sweep: each seed runs `Strategy::Segmented` across bucket
-//!   granularities and scratch budgets (unlimited, tight, and zero —
-//!   the last pins every bucket fill to the sorted-overflow path) under
-//!   the seeded controller, two back-to-back regions per combination so
-//!   retained scratch is always exercised, bit-identical (i64) to the
-//!   sequential loop; then plants a panic at a seed-chosen
-//!   `BucketSpill` crossing and requires poison-not-deadlock with an
-//!   exact unperturbed rerun. The sweep fails if NO seed crossed a
-//!   bucket spill (the mode lost its teeth). Requires
-//!   `--features verify`;
 //! * `--service N` — N seeds through the reduction-service concurrent
 //!   jobs oracle: each seed runs a deterministic job set through a
 //!   [`ReductionService`](spray_service::ReductionService) twice —
@@ -97,7 +86,6 @@ struct FuzzOpts {
     faults: u64,
     migrations: u64,
     arena: u64,
-    segmented: u64,
     service: u64,
     delta: u64,
     numa: u64,
@@ -120,7 +108,6 @@ impl Default for FuzzOpts {
             faults: 0,
             migrations: 0,
             arena: 0,
-            segmented: 0,
             service: 0,
             delta: 0,
             numa: 0,
@@ -131,7 +118,7 @@ impl Default for FuzzOpts {
 
 const USAGE: &str = "usage: schedule_fuzz [--seed S | --seeds N --start S] [--threads T] \
 [--n N] [--updates U] [--block-size B] [--replays R] [--dynamic] [--no-floats] \
-[--broken] [--faults N] [--migrations N] [--arena N] [--segmented N] [--service N] \
+[--broken] [--faults N] [--migrations N] [--arena N] [--service N] \
 [--delta N] [--numa N] [--quiet]";
 
 fn parse_opts() -> FuzzOpts {
@@ -182,11 +169,6 @@ fn parse_opts() -> FuzzOpts {
                     .expect("--migrations: u64")
             }
             "--arena" => o.arena = value(&mut args, "--arena").parse().expect("--arena: u64"),
-            "--segmented" => {
-                o.segmented = value(&mut args, "--segmented")
-                    .parse()
-                    .expect("--segmented: u64")
-            }
             "--service" => {
                 o.service = value(&mut args, "--service")
                     .parse()
@@ -502,73 +484,6 @@ fn arena_main(_o: &FuzzOpts) -> i32 {
 }
 
 #[cfg(feature = "verify")]
-fn segmented_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::{segmented_case, segmented_fault_case};
-    let mut bad = 0u64;
-    let mut spills = 0u64;
-    for seed in o.start..o.start + o.segmented {
-        let outcome = segmented_case(o.threads, seed);
-        spills += outcome.bucket_spills;
-        match outcome.result {
-            Ok(()) => {
-                if !o.quiet {
-                    println!(
-                        "segmented seed {seed}: ok ({} bucket spills, {} preemptions)",
-                        outcome.bucket_spills, outcome.preemptions
-                    );
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL {e}");
-                eprintln!(
-                    "repro: cargo run --release -p bench --features verify --bin \
-                     schedule_fuzz -- --segmented 1 --start {seed} --threads {}",
-                    o.threads
-                );
-            }
-        }
-        // A fault injected inside the bucket-overflow handler must
-        // poison the region — never deadlock — and leave pool +
-        // executor able to produce exact results afterwards.
-        if let Err(e) = segmented_fault_case(o.threads, seed) {
-            bad += 1;
-            eprintln!("FAIL segmented fault seed {seed}: {e}");
-            eprintln!(
-                "repro: cargo run --release -p bench --features verify --bin \
-                 schedule_fuzz -- --segmented 1 --start {seed} --threads {}",
-                o.threads
-            );
-        }
-    }
-    if bad > 0 {
-        eprintln!(
-            "segmented fuzz: {bad} failure(s) over {} seed(s)",
-            o.segmented
-        );
-        return 1;
-    }
-    if spills == 0 {
-        eprintln!(
-            "segmented fuzz: {} seed(s) crossed NO bucket spills — the mode lost its teeth",
-            o.segmented
-        );
-        return 1;
-    }
-    println!(
-        "segmented fuzz: {} seed(s) from {} clean ({spills} bucket spills exercised, {} threads)",
-        o.segmented, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn segmented_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--segmented requires --features verify");
-    2
-}
-
-#[cfg(feature = "verify")]
 fn service_main(o: &FuzzOpts) -> i32 {
     use spray_service::fuzz::service_case;
     let mut bad = 0u64;
@@ -782,9 +697,6 @@ fn main() {
     }
     if o.arena > 0 {
         std::process::exit(arena_main(&o));
-    }
-    if o.segmented > 0 {
-        std::process::exit(segmented_main(&o));
     }
     if o.service > 0 {
         std::process::exit(service_main(&o));

@@ -1,9 +1,9 @@
 //! Telemetry smoke test (run by CI).
 //!
-//! Runs one scatter reduction under each strategy family — block, keeper,
-//! atomic, map — plus dense, log and hybrid, prints every `RunReport` as
-//! JSON, then re-parses each document with `bench::json` and asserts the
-//! pipeline end to end:
+//! Runs one scatter reduction under every strategy — dense, maps,
+//! atomic, the three block flavors and keeper — prints every `RunReport`
+//! as JSON, then re-parses each document with `bench::json` and asserts
+//! the pipeline end to end:
 //!
 //! * the JSON parses and carries all four report sections,
 //! * counter totals show the applies actually issued,
@@ -84,25 +84,10 @@ fn main() {
     let n = 10_000usize;
     let updates = 100_000usize;
 
-    // One representative per strategy family, plus the extras.
-    let strategies = [
-        Strategy::BlockCas { block_size: 64 },
-        Strategy::BlockLock { block_size: 64 },
-        Strategy::BlockPrivate { block_size: 64 },
-        Strategy::Keeper,
-        Strategy::Atomic,
-        Strategy::MapBTree,
-        Strategy::MapHash,
-        Strategy::Dense,
-        Strategy::Log,
-        Strategy::Hybrid {
-            block_size: 64,
-            threshold: 4,
-        },
-    ];
+    let strategies = Strategy::all(64);
 
     let mut ok = 0;
-    for strategy in strategies {
+    for &strategy in &strategies {
         let mut out = vec![0i64; n];
         let report = reduce_dyn::<i64, Sum>(
             strategy,

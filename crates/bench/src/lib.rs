@@ -10,7 +10,7 @@
 //! | Fig. 14 | `fig14_s3dkt3m2` | transpose-SpMV time & memory on the banded s3dkt3m2 stand-in, incl. simulated MKL baselines |
 //! | Fig. 15 | `fig15_debr` | same on the de Bruijn (debr) stand-in |
 //! | Fig. 16 | `fig16_lulesh` | LULESH proxy whole-run time & memory, incl. the 8-copy domain scheme |
-//! | §IV/§V discussion | `ablation_schedule`, `ablation_keeper`, `ablation_atomics`, `ablation_autotune` | schedule/chunk, keeper-ownership, atomic-op and auto-tuner ablations |
+//! | §IV/§V discussion | `ablation_schedule`, `ablation_keeper`, `ablation_atomics` | schedule/chunk, keeper-ownership and atomic-op ablations |
 //! | §VII remarks | `summary_table` | every strategy × all three workloads, time and memory side by side |
 //! | hot path | `apply_overhead` | per-apply ns of the block reducers' cached fast path (telemetry on and off) vs the legacy assert+div/mod path, per access pattern (writes `BENCH_apply_overhead.json`) |
 //! | telemetry | `telemetry_smoke` | runs a scatter under every strategy family, prints each `RunReport` as JSON and re-parses it, asserting counters are populated (CI gate) |

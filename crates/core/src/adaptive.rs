@@ -1,10 +1,10 @@
 //! Online strategy adaptation for the region executor.
 //!
 //! The paper frames strategy choice as depending on "the hardware,
-//! application, and input data" (§I) — but an [`crate::AutoTuner`] picks
-//! once, up front, and a long-running workload can drift away from that
-//! choice (PageRank's frontier collapsing, a histogram's key distribution
-//! shifting from hot to scattered). This module closes the loop: after
+//! application, and input data" (§I) — but a strategy picked once, up
+//! front, can drift out of fit on a long-running workload (PageRank's
+//! frontier collapsing, a histogram's key distribution shifting from hot
+//! to scattered). This module closes the loop: after
 //! every region the executor scores its *current* strategy against the
 //! telemetry that region actually recorded, and when the score stays out
 //! of band for [`AdaptiveConfig::patience`] consecutive regions it
@@ -131,16 +131,11 @@ impl AdaptiveConfig {
 /// The default migration candidate set: the paper's competitive subset
 /// at `block_size`, plus a second `BlockPrivate` granularity (4×), so
 /// the adaptive layer can migrate block *size* — not just strategy
-/// family — when density says blocks should be coarser, plus the
-/// segmented reducer (matching segment size) as the bounded-scratch
-/// escape hatch when a [`crate::PlanBudget`] is in force.
+/// family — when density says blocks should be coarser.
 pub fn default_candidates(block_size: usize) -> Vec<Strategy> {
     let mut v = Strategy::competitive(block_size);
     v.push(Strategy::BlockPrivate {
         block_size: block_size.saturating_mul(4),
-    });
-    v.push(Strategy::Segmented {
-        bucket_bits: Strategy::bucket_bits_for(block_size),
     });
     v
 }
@@ -171,15 +166,10 @@ pub struct RegionSignals {
 }
 
 /// Whether `s` pays per-touched-footprint privatization + merge costs
-/// (wants density), as opposed to updating in place or buffering
-/// cheaply (wants sparsity). Segmented sits with the sparse group: its
-/// buckets cost per *update*, not per touched footprint, and its dense
-/// promotions are budget-bounded.
+/// (wants density), as opposed to updating in place or forwarding
+/// (wants sparsity).
 fn privatizes(s: Strategy) -> bool {
-    !matches!(
-        s,
-        Strategy::Atomic | Strategy::Keeper | Strategy::Segmented { .. }
-    )
+    !matches!(s, Strategy::Atomic | Strategy::Keeper)
 }
 
 /// Scores how mismatched `current` is to the observed `sig`.
@@ -226,15 +216,8 @@ pub fn score(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> f6
 pub fn recommend(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> Strategy {
     let d = sig.applies_per_element;
     let pick = |want: fn(&Strategy) -> bool| cfg.candidates.iter().copied().find(want);
-    // Over the scratch budget: move to a bounded-scratch strategy —
-    // segmented first (its promotions respect the budget and its buckets
-    // keep locality), atomic as the zero-scratch fallback.
+    // Over the scratch budget: move to atomic, the zero-scratch strategy.
     if sig.scratch_pressure > 1.0 {
-        if let Some(s) = pick(|s| matches!(s, Strategy::Segmented { .. })) {
-            if s != current {
-                return s;
-            }
-        }
         if let Some(s) = pick(|s| matches!(s, Strategy::Atomic)) {
             if s != current {
                 return s;
@@ -253,13 +236,10 @@ pub fn recommend(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -
             }
         }
     }
-    // Sparse tail on a privatizing strategy: update in place, or buffer
-    // through cache-resident buckets when atomics are not on offer.
+    // Sparse tail on a privatizing strategy: update in place, or forward
+    // to the owner when atomics are not on offer.
     if privatizes(current) && d > 0.0 && d < cfg.sparse_applies_per_elem {
         if let Some(s) = pick(|s| matches!(s, Strategy::Atomic)) {
-            return s;
-        }
-        if let Some(s) = pick(|s| matches!(s, Strategy::Segmented { .. })) {
             return s;
         }
         if let Some(s) = pick(|s| matches!(s, Strategy::Keeper)) {
@@ -352,14 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn default_candidates_include_segmented_at_matching_granularity() {
-        assert!(default_candidates(1024)
-            .into_iter()
-            .any(|s| s == Strategy::Segmented { bucket_bits: 10 }));
-    }
-
-    #[test]
-    fn scratch_pressure_breaks_band_and_routes_to_segmented() {
+    fn scratch_pressure_breaks_band_and_routes_to_atomic() {
         let cfg = AdaptiveConfig::default();
         let bp = Strategy::BlockPrivate { block_size: 1024 };
         // Comfortably dense, but 2x over the scratch budget: out of band.
@@ -367,22 +340,8 @@ mod tests {
         assert!(score(bp, &s, &cfg) <= 1.0);
         s.scratch_pressure = 2.0;
         assert!(score(bp, &s, &cfg) > 1.0);
-        // The recommendation is the bounded-scratch candidate.
-        assert_eq!(
-            recommend(bp, &s, &cfg),
-            Strategy::Segmented { bucket_bits: 10 }
-        );
-        // Without a segmented candidate, fall back to atomic.
-        let no_seg = AdaptiveConfig {
-            candidates: cfg
-                .candidates
-                .iter()
-                .copied()
-                .filter(|c| !matches!(c, Strategy::Segmented { .. }))
-                .collect(),
-            ..cfg.clone()
-        };
-        assert_eq!(recommend(bp, &s, &no_seg), Strategy::Atomic);
+        // The recommendation is the zero-scratch candidate.
+        assert_eq!(recommend(bp, &s, &cfg), Strategy::Atomic);
         // Exactly at the budget is still in band.
         s.scratch_pressure = 1.0;
         assert!(score(bp, &s, &cfg) <= 1.0);

@@ -240,8 +240,6 @@ pub(crate) struct DeltaRunStats {
     pub changed_elements: u64,
     pub stage_secs: f64,
     pub commit_secs: f64,
-    /// Element ranges of the dirty blocks (for scratch invalidation).
-    pub dirty_ranges: Vec<Range<usize>>,
 }
 
 /// Runs one delta region: validates and groups the batch, stages every
@@ -329,13 +327,6 @@ pub(crate) fn run_delta_engine<T: Element, O: ReduceOp<T>>(
     } else {
         edits.iter().map(|e| e.block).collect()
     };
-    let dirty_ranges: Vec<Range<usize>> = edits
-        .iter()
-        .map(|e| {
-            let base = (e.block as usize) << bits;
-            base..(base + (1 << bits)).min(state.len)
-        })
-        .collect();
 
     // One exact-inverse probe per op/type: retracting the identity from
     // itself succeeds exactly for the wrapping-integer groups (and for
@@ -439,7 +430,6 @@ pub(crate) fn run_delta_engine<T: Element, O: ReduceOp<T>>(
         changed_elements,
         stage_secs,
         commit_secs,
-        dirty_ranges,
     }
 }
 

@@ -2,17 +2,13 @@
 //!
 //! Every runtime-dispatched path into a reduction region routes through
 //! [`RegionExecutor::run`]: [`crate::reduce_strategy`] (one-shot regions),
-//! [`crate::reduce_dyn`] (closure bodies), [`ReusableReducer`] (the
-//! region-reuse API, now an alias of the executor), and
-//! [`crate::AutoTuner`] (online strategy selection). The `match` over
+//! [`crate::reduce_dyn`] (closure bodies) and [`ReusableReducer`] (the
+//! region-reuse API, now an alias of the executor). The `match` over
 //! [`Strategy`] variants in [`RegionExecutor::run`] is the only place in
 //! the workspace that turns a `Strategy` value into a concrete
-//! [`Reduction`] — previously this dispatch existed in three near-identical
-//! copies (`reduce_strategy`, `ReusableReducer::run`, and indirectly the
-//! autotuner), each a chance for the copies to drift.
+//! [`Reduction`].
 //!
-//! The executor also owns the two cross-cutting concerns the copies used
-//! to split between them:
+//! The executor also owns two cross-cutting concerns:
 //!
 //! * **scratch retention** — block-reducer allocations are detached after
 //!   each region ([`crate::BlockReduction::into_scratch`]) and re-attached
@@ -33,13 +29,10 @@ use crate::block::{
 use crate::delta::{run_delta_engine, DeltaBatch, DeltaState, DELTA_BLOCK_BITS};
 use crate::dense::DenseReduction;
 use crate::elem::{AtomicElement, ReduceOp};
-use crate::hybrid::HybridReduction;
 use crate::keeper::KeeperReduction;
-use crate::log::LogReduction;
 use crate::map::{BTreeMapReduction, HashMapReduction};
 use crate::plan::{PlanBudget, PlanCache};
 use crate::reducer::{reduce_chunked_phased, Reduction};
-use crate::segmented::{SegmentedReduction, SegmentedScratch};
 use crate::strategy::{Kernel, Strategy};
 use crate::telemetry::{PhaseBoard, PhaseTimes, RunReport, Telemetry};
 use ompsim::{Schedule, ThreadPool};
@@ -160,7 +153,6 @@ enum RetainedScratch<T> {
     Private(BlockPrivateScratch<T>),
     Lock(BlockLockScratch<T>),
     Cas(BlockCasScratch<T>),
-    Segmented(SegmentedScratch<T>),
 }
 
 /// Runs reduction regions for a [`Strategy`], retaining block-reducer
@@ -177,7 +169,7 @@ enum RetainedScratch<T> {
 ///
 /// Non-block strategies construct fresh per region — their setup is either
 /// inherently cheap (atomic, keeper) or not shaped for retention (dense
-/// replicas are the memory problem the paper exists to avoid; maps/logs
+/// replicas are the memory problem the paper exists to avoid; maps
 /// drain on merge).
 ///
 /// If the array length, team width or block size changes between calls,
@@ -203,8 +195,7 @@ pub struct RegionExecutor<T: crate::Element, O: ReduceOp<T>> {
     strategy_regions: Vec<(String, u64)>,
     /// Scratch-memory budget applied to every region: block-flavor plans
     /// are reshaped with [`crate::RegionPlan::with_budget`] (costly shared
-    /// blocks demoted to in-place updates) and the segmented reducer caps
-    /// its dense promotions. Unlimited by default.
+    /// blocks demoted to in-place updates). Unlimited by default.
     budget: PlanBudget,
     /// Retained delta-region state ([`RegionExecutor::run_delta`]):
     /// baseline array, per-block tag-sorted contribution logs, result
@@ -295,11 +286,10 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// Caps the scratch memory subsequent regions may spend on
     /// privatization. Block-flavor plans are reshaped on their next
     /// (re)build — costliest shared blocks demote to budget-free in-place
-    /// updates until the plan's copies fit — and the segmented reducer
-    /// spills to its overflow runs instead of promoting past the cap.
-    /// Retained scratch and already-cached plans are untouched until they
-    /// rebuild; pair with [`clear_plans`](RegionExecutor::clear_plans) to
-    /// apply a tighter budget immediately.
+    /// updates until the plan's copies fit. Retained scratch and
+    /// already-cached plans are untouched until they rebuild; pair with
+    /// [`clear_plans`](RegionExecutor::clear_plans) to apply a tighter
+    /// budget immediately.
     pub fn set_budget(&mut self, budget: PlanBudget) {
         self.budget = budget;
     }
@@ -461,7 +451,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// [`RunReport::planned_regions`] — the inspection cost MKL's
     /// inspector/executor leaves out of its timed loop, reported here so
     /// comparisons stay fair. Strategies without a planned path (dense,
-    /// maps, atomic, log, hybrid) execute exactly as
+    /// maps, atomic) execute exactly as
     /// [`run`](RegionExecutor::run) would.
     pub fn run_planned<K: Kernel<T>>(
         &mut self,
@@ -603,27 +593,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                 }
                 report
             }
-            Strategy::Log => fresh!(LogReduction::<T, O>::new(out, n)),
-            Strategy::Hybrid {
-                block_size,
-                threshold,
-            } => fresh!(HybridReduction::<T, O>::new(out, n, block_size, threshold)),
-            Strategy::Segmented { bucket_bits } => {
-                // The segmented reducer needs no recorded plan — its
-                // epilogue derives a fresh LPT owner schedule from the
-                // region's own footprint — so only scratch is retained.
-                // The budget caps its dense promotions directly.
-                let mut red = match retained {
-                    RetainedScratch::Segmented(s) => {
-                        SegmentedReduction::<T, O>::from_scratch(out, n, bucket_bits, s)
-                    }
-                    _ => SegmentedReduction::<T, O>::new(out, n, bucket_bits),
-                };
-                red.set_budget(self.budget);
-                let report = execute(pool, &red, range, schedule, kernel);
-                self.scratch = RetainedScratch::Segmented(red.into_scratch());
-                report
-            }
         };
         let label = report.strategy.clone();
         match self.strategy_regions.iter_mut().find(|(l, _)| *l == label) {
@@ -674,9 +643,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// crossing panic *during staging*, before anything commits — the
     /// previous result and delta state stay intact (poison, not
     /// corrupt). Strategy migrations leave the delta state intact: it
-    /// is strategy-independent, though retained **segmented** scratch
-    /// has its dirty blocks invalidated so a later full segmented
-    /// region re-promotes from current data.
+    /// is strategy-independent.
     pub fn run_delta(
         &mut self,
         pool: &ThreadPool,
@@ -687,9 +654,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         let bits = self.delta_block_bits;
         let state = self.delta.get_or_insert_with(|| DeltaState::new(out, bits));
         let stats = run_delta_engine::<T, O>(state, pool, out, batch);
-        if let RetainedScratch::Segmented(s) = &mut self.scratch {
-            s.invalidate_ranges(&stats.dirty_ranges);
-        }
         self.delta_regions += 1;
         self.dirty_blocks += stats.dirty_blocks;
         self.retractions += stats.retractions;
@@ -1438,39 +1402,6 @@ mod tests {
         assert_eq!(out[10], 0);
         assert_eq!(out[300], 7);
         assert_eq!(ex.migrations(), 1);
-    }
-
-    #[test]
-    fn run_delta_invalidates_dirty_segmented_blocks() {
-        let pool = ompsim::ThreadPool::new(2);
-        let n = 1024;
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Segmented { bucket_bits: 6 });
-        let mut out = vec![0i64; n];
-        // A full segmented region touching two far-apart blocks retains
-        // per-block scratch for both.
-        struct TwoSpots;
-        impl Kernel<i64> for TwoSpots {
-            fn item<V: ReducerView<i64>>(&self, view: &mut V, i: usize) {
-                view.apply(if i % 2 == 0 { 8 } else { 900 }, 1);
-            }
-        }
-        ex.run(&pool, &mut out, 0..100, Schedule::default(), &TwoSpots);
-        let RetainedScratch::Segmented(s) = &ex.scratch else {
-            panic!("segmented scratch not retained");
-        };
-        assert!(s.has_cached_block(8));
-        assert!(s.has_cached_block(900));
-
-        // A delta region dirtying only the first block must invalidate
-        // its cached segmented resources and leave the other alone.
-        let mut batch = crate::DeltaBatch::new();
-        batch.push(8, 1, 5);
-        ex.run_delta(&pool, &mut out, &batch);
-        let RetainedScratch::Segmented(s) = &ex.scratch else {
-            panic!("segmented scratch dropped");
-        };
-        assert!(!s.has_cached_block(8));
-        assert!(s.has_cached_block(900));
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! summation, …". This module demonstrates that claim concretely: a
 //! [`Kahan64`] carries a running sum and a compensation term, implements
 //! [`SumOps`](crate::SumOps), and therefore works with every privatizing
-//! strategy (dense, block, keeper, log, maps) unmodified — accumulating
+//! strategy (dense, block, keeper, maps) unmodified — accumulating
 //! with far smaller rounding error than plain `f64`.
 //!
-//! `Kahan64` is 16 bytes and has no atomic form, so the `atomic` and
-//! `hybrid` strategies (which require [`AtomicElement`](crate::AtomicElement))
-//! cannot be used with it — exactly the kind of trade-off the SPRAY design
+//! `Kahan64` is 16 bytes and has no atomic form, so the `atomic` strategy
+//! (which requires [`AtomicElement`](crate::AtomicElement)) cannot be used
+//! with it — exactly the kind of trade-off the SPRAY design
 //! surfaces as a type-level fact rather than a runtime surprise.
 
 use crate::elem::SumOps;

@@ -47,7 +47,6 @@
 //! | [`BlockLockReduction`] | block-lock | fallback blocks | high locality, mostly-exclusive blocks |
 //! | [`BlockCasReduction`] | block-CAS | fallback blocks | like block-lock, lock-free claim |
 //! | [`KeeperReduction`] | keeper | forwarded updates | updates aligned with static ownership |
-//! | [`SegmentedReduction`] | — (extension) | cache-resident buckets + promoted blocks | very sparse scatter, tight scratch budgets |
 //!
 //! Every strategy guarantees the same result as a sequential loop up to
 //! floating-point reassociation (the same assumption OpenMP reductions
@@ -70,22 +69,18 @@ mod adaptive;
 pub mod arena;
 mod argmax;
 mod atomic;
-mod autotune;
 mod block;
 mod delta;
 mod dense;
 mod elem;
 mod executor;
-mod hybrid;
 mod kahan;
 mod keeper;
 pub mod kernels;
-mod log;
 mod map;
 pub mod nd;
 mod plan;
 mod reducer;
-mod segmented;
 mod shared;
 mod strategy;
 mod telemetry;
@@ -98,7 +93,6 @@ pub use adaptive::{
 pub use arena::{ArenaPool, BlockArena};
 pub use argmax::{MaxAt, MinAt, ValueAt};
 pub use atomic::{AtomicReduction, AtomicView};
-pub use autotune::AutoTuner;
 pub use block::{
     BlockCasReduction, BlockCasScratch, BlockLockReduction, BlockLockScratch,
     BlockPrivateReduction, BlockPrivateScratch, BlockReduction, BlockScratch, BlockView,
@@ -109,18 +103,12 @@ pub use elem::{
     AtomicElement, Element, Max, Min, OpKind, OrdOps, Prod, ProdOps, ReduceOp, Sum, SumOps,
 };
 pub use executor::{ExecutorShared, RegionExecutor, ReusableReducer};
-pub use hybrid::{HybridReduction, HybridView};
 pub use kahan::Kahan64;
 pub use keeper::{KeeperReduction, KeeperView};
-pub use log::{LogReduction, LogView};
 pub use map::{BTreeMapReduction, HashMapReduction, MapLike, MapOpView, MapReduction};
 pub use plan::{PlanBudget, PlanCache, RegionPlan, ThreadBlocks};
 pub use reducer::{
     reduce, reduce_chunked, reduce_seq, CountedView, ReducerView, Reduction, SeqView,
 };
-pub use segmented::{SegmentedReduction, SegmentedScratch, SegmentedView};
 pub use strategy::{reduce_dyn, reduce_strategy, Kernel, ParseStrategyError, Strategy};
-pub use telemetry::{
-    Counters, JsonWriter, PhaseTimes, ProfilingReduction, ProfilingView, ReductionProfile,
-    RunReport, Telemetry, ThreadProfile, PAGE,
-};
+pub use telemetry::{Counters, JsonWriter, PhaseTimes, RunReport, Telemetry};

@@ -35,9 +35,8 @@
 //! `plan_amortize` bench makes is fair: it shows both the steady-state win
 //! and the number of regions needed to repay the recording overhead.
 
-/// An explicit scratch-memory budget for the plan layer (and the
-/// segmented reducer's dense promotions): the planner keeps the summed
-/// bytes of up-front privatized copies at or under
+/// An explicit scratch-memory budget for the plan layer: the planner
+/// keeps the summed bytes of up-front privatized copies at or under
 /// `max_scratch_bytes` by demoting the costliest shared blocks to
 /// per-element atomic updates (zero scratch, paid in contention). The
 /// resulting time-memory curve is observable through
@@ -613,8 +612,8 @@ fn lpt_schedule_on(
 /// currently least-loaded worker. Deterministic: ties break on lower item
 /// id, then lower worker id; each worker's list comes back sorted
 /// ascending (forward sweeps over the scratch). Shared by the planned
-/// merge epilogue and the segmented reducer's bucket-owner drain — both
-/// need every thread to derive the *same* schedule independently, with no
+/// merge epilogue and the delta engine's staging pass — both need every
+/// thread to derive the *same* schedule independently, with no
 /// coordination, from the same published costs.
 pub(crate) fn lpt_schedule(costs: &[(u32, u64)], nworkers: usize) -> Vec<Vec<u32>> {
     let mut order: Vec<(u32, u64)> = costs.to_vec();

@@ -42,25 +42,6 @@ pub enum Strategy {
     },
     /// Static ownership ranges with update forwarding.
     Keeper,
-    /// Append-only update logs with partitioned replay (an extra reducer
-    /// beyond the paper's set; see [`crate::LogReduction`]).
-    Log,
-    /// Adaptive per-block atomic/privatized reducer (an extra reducer
-    /// beyond the paper's set; see [`crate::HybridReduction`]).
-    Hybrid {
-        /// Elements per block.
-        block_size: usize,
-        /// Per-thread touches before a block privatizes.
-        threshold: u32,
-    },
-    /// Two-level segmented reduction: per-thread cache-resident buckets
-    /// keyed by block, spilling to sorted overflow runs, drained by a
-    /// deterministic bucket-owner epilogue with no ownership protocol
-    /// (see [`crate::SegmentedReduction`]).
-    Segmented {
-        /// `log2` of the segment (block) size in elements.
-        bucket_bits: u32,
-    },
 }
 
 impl Strategy {
@@ -75,12 +56,6 @@ impl Strategy {
             Strategy::BlockLock { block_size } => format!("block-lock-{block_size}"),
             Strategy::BlockCas { block_size } => format!("block-CAS-{block_size}"),
             Strategy::Keeper => "keeper".into(),
-            Strategy::Log => "log".into(),
-            Strategy::Hybrid {
-                block_size,
-                threshold,
-            } => format!("hybrid-{block_size}-t{threshold}"),
-            Strategy::Segmented { bucket_bits } => format!("segmented-{bucket_bits}"),
         }
     }
 
@@ -95,22 +70,7 @@ impl Strategy {
             Strategy::BlockLock { block_size },
             Strategy::BlockCas { block_size },
             Strategy::Keeper,
-            Strategy::Log,
-            Strategy::Hybrid {
-                block_size,
-                threshold: 4,
-            },
-            Strategy::Segmented {
-                bucket_bits: Self::bucket_bits_for(block_size),
-            },
         ]
-    }
-
-    /// The segment size (in bits) matching a map/block sweep's block
-    /// size: `log2(next_power_of_two(block_size))`, floored at 1 so a
-    /// degenerate 1-element sweep still exercises multi-element segments.
-    pub fn bucket_bits_for(block_size: usize) -> u32 {
-        block_size.next_power_of_two().trailing_zeros().max(1)
     }
 
     /// The competitive subset the paper keeps after §VII's first-cut
@@ -137,8 +97,7 @@ impl std::fmt::Display for ParseStrategyError {
         write!(
             f,
             "invalid strategy '{}': expected dense | map-btree | map-hash | atomic | \
-             keeper | log | hybrid[-N-tM] | segmented[-B] | block-private[-N] | \
-             block-lock[-N] | block-cas[-N]",
+             keeper | block-private[-N] | block-lock[-N] | block-cas[-N]",
             self.0
         )
     }
@@ -161,42 +120,7 @@ impl std::str::FromStr for Strategy {
             "map-hash" => return Ok(Strategy::MapHash),
             "atomic" => return Ok(Strategy::Atomic),
             "keeper" => return Ok(Strategy::Keeper),
-            "log" => return Ok(Strategy::Log),
-            "hybrid" => {
-                return Ok(Strategy::Hybrid {
-                    block_size: 1024,
-                    threshold: 4,
-                })
-            }
             _ => {}
-        }
-        // segmented[-<bucket_bits>]
-        if let Some(rest) = lower.strip_prefix("segmented") {
-            let bucket_bits = match rest {
-                "" => 10,
-                _ => rest
-                    .strip_prefix('-')
-                    .and_then(|n| n.parse::<u32>().ok())
-                    .filter(|b| (1..=31).contains(b))
-                    .ok_or_else(err)?,
-            };
-            return Ok(Strategy::Segmented { bucket_bits });
-        }
-        // hybrid-<block>-t<threshold>
-        if let Some(rest) = lower.strip_prefix("hybrid-") {
-            if let Some((bs, th)) = rest.split_once("-t") {
-                let block_size = bs
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(err)?;
-                let threshold = th.parse::<u32>().map_err(|_| err())?;
-                return Ok(Strategy::Hybrid {
-                    block_size,
-                    threshold,
-                });
-            }
-            return Err(err());
         }
         for (prefix, make) in [
             ("block-private", Strategy::BlockPrivate { block_size: 0 }),
@@ -308,12 +232,6 @@ mod tests {
                 assert_eq!(s.label().parse::<Strategy>().unwrap(), s, "{}", s.label());
             }
         }
-        // Non-default hybrid thresholds round-trip too.
-        let h = Strategy::Hybrid {
-            block_size: 128,
-            threshold: 9,
-        };
-        assert_eq!(h.label().parse::<Strategy>().unwrap(), h);
     }
 
     #[test]
@@ -326,32 +244,24 @@ mod tests {
             "Block-Lock-64".parse::<Strategy>().unwrap(),
             Strategy::BlockLock { block_size: 64 }
         );
-        for bad in ["", "blocky", "block-cas-0", "block-cas-x", "dense-4"] {
+        for bad in [
+            "",
+            "blocky",
+            "block-cas-0",
+            "block-cas-x",
+            "dense-4",
+            "log",
+            "hybrid",
+            "segmented",
+        ] {
             assert!(bad.parse::<Strategy>().is_err(), "accepted '{bad}'");
         }
     }
 
     #[test]
     fn all_contains_every_strategy() {
-        assert_eq!(Strategy::all(256).len(), 11);
+        assert_eq!(Strategy::all(256).len(), 8);
         assert_eq!(Strategy::competitive(256).len(), 6);
-        assert!(Strategy::all(256).contains(&Strategy::Log));
-        assert!(Strategy::all(256).contains(&Strategy::Segmented { bucket_bits: 8 }));
-    }
-
-    #[test]
-    fn segmented_parse_and_defaults() {
-        assert_eq!(
-            "segmented".parse::<Strategy>().unwrap(),
-            Strategy::Segmented { bucket_bits: 10 }
-        );
-        assert_eq!(
-            "segmented-5".parse::<Strategy>().unwrap(),
-            Strategy::Segmented { bucket_bits: 5 }
-        );
-        for bad in ["segmented-0", "segmented-64", "segmented-x", "segmented5"] {
-            assert!(bad.parse::<Strategy>().is_err(), "accepted '{bad}'");
-        }
     }
 
     struct Histogram<'a> {

@@ -10,7 +10,7 @@
 //!   the strategy views' private fields; the hot-path `applies` count is
 //!   kept by the *driver* in its register-resident
 //!   [`crate::CountedView`] wrapper and credited via
-//!   [`Reduction::record_applies`]. Everything is published once per
+//!   [`crate::Reduction::record_applies`]. Everything is published once per
 //!   phase into cache-line-padded per-thread slots ([`TelemetryBoard`]),
 //!   so counting never false-shares.
 //! * **[`PhaseTimes`]** — wall time of the region's four phases (loop,
@@ -21,23 +21,14 @@
 //!   phases in one value, with hand-rolled JSON serialization
 //!   ([`RunReport::to_json`]) for the bench harnesses (the workspace is
 //!   offline-first, so no serde).
-//! * **[`ProfilingReduction`]** — the opt-in locality profiler (updates,
-//!   touched index range, distinct pages), folded into this layer from
-//!   the former standalone `profile` module. Counters answer "*how did
-//!   this strategy behave*"; the profile answers "*what does the access
-//!   pattern look like*" — together they drive [`crate::AutoTuner`] and
-//!   [`ReductionProfile::recommend`].
 //!
 //! Counter semantics are cumulative since the reduction object was
 //! constructed. [`crate::RegionExecutor`] builds a fresh reduction per
 //! region (reusing only detached scratch), so executor-produced reports
 //! are per-region.
 
-use crate::elem::Element;
-use crate::reducer::{ReducerView, Reduction};
 use crate::shared::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// The workspace's one JSON emitter (the workspace is offline-first, so
@@ -212,9 +203,9 @@ impl JsonWriter {
 /// | field | strategies | meaning |
 /// |---|---|---|
 /// | `applies` | all | `ReducerView::apply` calls serviced |
-/// | `block_first_touches` | block-\*, hybrid | blocks resolved for the first time by this thread |
+/// | `block_first_touches` | block-\* | blocks resolved for the first time by this thread |
 /// | `ownership_conflicts` | block-lock, block-CAS | ownership claims lost to another thread (CAS acquire failures / lock-table losses) |
-/// | `fallback_privatizations` | block-\*, hybrid | private block copies allocated (for the direct-ownership flavors: the lock/CAS fallback path) |
+/// | `fallback_privatizations` | block-\* | private block copies allocated (for the direct-ownership flavors: the lock/CAS fallback path) |
 /// | `remote_enqueues` | keeper | updates forwarded to a foreign owner's queue |
 /// | `remote_flushed` | keeper | forwarded updates this thread drained as owner |
 /// | `remote_applies` | keeper, atomic | updates that crossed a NUMA-node shard boundary (see [`ompsim::Topology`]) |
@@ -284,7 +275,7 @@ impl Counters {
 }
 
 /// Per-thread [`Counters`] of one reduction, as returned by
-/// [`Reduction::telemetry`].
+/// [`crate::Reduction::telemetry`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Telemetry {
     /// One entry per team thread.
@@ -509,8 +500,7 @@ impl PhaseBoard {
 /// Outcome of one region run: strategy label, memory overhead, and the
 /// telemetry the region recorded. Returned by every path through the
 /// [`crate::RegionExecutor`] ([`crate::reduce_strategy`],
-/// [`crate::reduce_dyn`], [`crate::ReusableReducer::run`],
-/// [`crate::AutoTuner::run`]).
+/// [`crate::reduce_dyn`], [`crate::ReusableReducer::run`]).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Strategy label (paper naming).
@@ -648,232 +638,9 @@ impl RunReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Locality profiling (folded in from the former `profile` module).
-// ---------------------------------------------------------------------------
-
-/// Indices per locality page in the profile's page bitmap.
-pub const PAGE: usize = 512;
-
-/// Per-thread access pattern statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ThreadProfile {
-    /// Updates issued by the thread.
-    pub updates: u64,
-    /// Smallest index touched (`None` if no updates).
-    pub min_index: Option<usize>,
-    /// Largest index touched.
-    pub max_index: Option<usize>,
-    /// Number of distinct [`PAGE`]-sized pages touched.
-    pub distinct_pages: usize,
-}
-
-impl ThreadProfile {
-    /// Mean updates per touched page (∞-free: 0 when nothing was touched).
-    pub fn updates_per_page(&self) -> f64 {
-        if self.distinct_pages == 0 {
-            0.0
-        } else {
-            self.updates as f64 / self.distinct_pages as f64
-        }
-    }
-}
-
-/// Aggregated profile of one reduction region.
-#[derive(Debug, Clone, Default)]
-pub struct ReductionProfile {
-    /// One entry per team thread.
-    pub per_thread: Vec<ThreadProfile>,
-}
-
-impl ReductionProfile {
-    /// Total updates across the team.
-    pub fn total_updates(&self) -> u64 {
-        self.per_thread.iter().map(|t| t.updates).sum()
-    }
-
-    /// Crude strategy hint from the measured locality: many updates per
-    /// touched page favor privatization (block reducers), few favor
-    /// atomics — §VII's summary, as a heuristic.
-    pub fn suggests_privatization(&self) -> bool {
-        let touched: usize = self.per_thread.iter().map(|t| t.distinct_pages).sum();
-        if touched == 0 {
-            return false;
-        }
-        (self.total_updates() as f64 / touched as f64) > 8.0
-    }
-
-    /// Recommends a strategy from the measured access pattern, encoding
-    /// §VII's summary as rules:
-    ///
-    /// * no updates → atomics (nothing to privatize);
-    /// * high per-page density → block privatization (block size ≈ page);
-    /// * per-thread index ranges that barely overlap the static partition
-    ///   boundaries → keeper;
-    /// * otherwise → atomics.
-    ///
-    /// `len` is the reduced array's length (for the keeper-match check).
-    /// For *online* selection that also weighs measured contention and
-    /// phase times, use [`crate::AutoTuner`].
-    pub fn recommend(&self, len: usize) -> crate::Strategy {
-        use crate::Strategy;
-        let total = self.total_updates();
-        if total == 0 || len == 0 {
-            return Strategy::Atomic;
-        }
-        // Keeper check: does each thread's touched range resemble its
-        // static ownership chunk?
-        let nthreads = self.per_thread.len().max(1);
-        let chunk = len.div_ceil(nthreads);
-        let keeper_match = self.per_thread.iter().enumerate().all(|(t, p)| {
-            match (p.min_index, p.max_index) {
-                (Some(lo), Some(hi)) => {
-                    let own_lo = t * chunk;
-                    let own_hi = ((t + 1) * chunk).min(len);
-                    // Allow one page of slop on each side (halo updates).
-                    lo + PAGE >= own_lo && hi <= own_hi + PAGE
-                }
-                _ => true, // idle thread matches trivially
-            }
-        });
-        if keeper_match {
-            return Strategy::Keeper;
-        }
-        if self.suggests_privatization() {
-            return Strategy::BlockCas { block_size: PAGE };
-        }
-        Strategy::Atomic
-    }
-}
-
-/// Profiling decorator: wraps any [`Reduction`] and records, per thread,
-/// total updates, the touched index range, and distinct touched
-/// [`PAGE`]-element pages (a locality proxy). It composes with every
-/// strategy (it is itself a `Reduction`), so a run can be profiled once
-/// and the profile used to pick — or to seed [`crate::AutoTuner`]
-/// candidates for — the production strategy.
-pub struct ProfilingReduction<R> {
-    inner: R,
-    profiles: Vec<Mutex<ThreadProfile>>,
-}
-
-impl<R> ProfilingReduction<R> {
-    /// Wraps `inner`, recording per-thread access statistics.
-    pub fn new<T: Element>(inner: R) -> Self
-    where
-        R: Reduction<T>,
-    {
-        let n = inner.num_threads();
-        ProfilingReduction {
-            inner,
-            profiles: (0..n)
-                .map(|_| Mutex::new(ThreadProfile::default()))
-                .collect(),
-        }
-    }
-
-    /// The profile gathered during the last region.
-    pub fn profile(&self) -> ReductionProfile {
-        ReductionProfile {
-            per_thread: self
-                .profiles
-                .iter()
-                .map(|m| m.lock().unwrap().clone())
-                .collect(),
-        }
-    }
-
-    /// The wrapped reduction.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-}
-
-/// View wrapper: forwards updates while counting them.
-pub struct ProfilingView<V> {
-    inner: V,
-    updates: u64,
-    min_index: Option<usize>,
-    max_index: Option<usize>,
-    pages: Vec<u64>,
-}
-
-impl<T: Element, V: ReducerView<T>> ReducerView<T> for ProfilingView<V> {
-    #[inline]
-    fn apply(&mut self, i: usize, v: T) {
-        self.updates += 1;
-        self.min_index = Some(self.min_index.map_or(i, |m| m.min(i)));
-        self.max_index = Some(self.max_index.map_or(i, |m| m.max(i)));
-        let page = i / PAGE;
-        if let Some(word) = self.pages.get_mut(page / 64) {
-            *word |= 1 << (page % 64);
-        }
-        self.inner.apply(i, v);
-    }
-}
-
-impl<T: Element, R: Reduction<T>> Reduction<T> for ProfilingReduction<R> {
-    type View = ProfilingView<R::View>;
-
-    fn view(&self, tid: usize) -> Self::View {
-        let npages = self.inner.len().div_ceil(PAGE);
-        ProfilingView {
-            inner: self.inner.view(tid),
-            updates: 0,
-            min_index: None,
-            max_index: None,
-            pages: vec![0u64; npages.div_ceil(64)],
-        }
-    }
-
-    fn stash(&self, tid: usize, view: Self::View) {
-        *self.profiles[tid].lock().unwrap() = ThreadProfile {
-            updates: view.updates,
-            min_index: view.min_index,
-            max_index: view.max_index,
-            distinct_pages: view.pages.iter().map(|w| w.count_ones() as usize).sum(),
-        };
-        self.inner.stash(tid, view.inner);
-    }
-
-    fn epilogue(&self, tid: usize) {
-        self.inner.epilogue(tid);
-    }
-
-    fn finish(&self) {
-        self.inner.finish();
-    }
-
-    fn name(&self) -> String {
-        format!("profiled({})", self.inner.name())
-    }
-
-    fn num_threads(&self) -> usize {
-        self.inner.num_threads()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn memory_overhead(&self) -> usize {
-        self.inner.memory_overhead()
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.inner.telemetry()
-    }
-
-    fn record_applies(&self, tid: usize, applies: u64) {
-        self.inner.record_applies(tid, applies);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{reduce, AtomicReduction, BlockCasReduction, KeeperReduction, Sum};
-    use ompsim::{Schedule, ThreadPool};
 
     #[test]
     fn json_writer_nests_separates_and_escapes() {
@@ -1035,109 +802,5 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-    }
-
-    #[test]
-    fn counts_updates_and_range() {
-        let pool = ThreadPool::new(4);
-        let n = 10_000;
-        let mut out = vec![0.0f64; n];
-        let red = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut out, 4));
-        reduce(&pool, &red, 0..1000, Schedule::default(), |v, i| {
-            v.apply(100 + i * 2, 1.0);
-        });
-        let p = red.profile();
-        assert_eq!(p.total_updates(), 1000);
-        let min = p.per_thread.iter().filter_map(|t| t.min_index).min();
-        let max = p.per_thread.iter().filter_map(|t| t.max_index).max();
-        assert_eq!(min, Some(100));
-        assert_eq!(max, Some(100 + 999 * 2));
-        // The profiler forwards the wrapped strategy's own telemetry.
-        assert_eq!(red.telemetry().totals().applies, 1000);
-        drop(red);
-        assert_eq!(out.iter().sum::<f64>(), 1000.0);
-    }
-
-    #[test]
-    fn locality_heuristic_distinguishes_patterns() {
-        let pool = ThreadPool::new(2);
-        let n = 1_000_000;
-
-        // Dense local updates: many updates per page → privatize.
-        let mut out = vec![0.0f64; n];
-        let red = ProfilingReduction::new(BlockCasReduction::<f64, Sum>::new(&mut out, 2, 1024));
-        reduce(&pool, &red, 0..100_000, Schedule::default(), |v, i| {
-            v.apply(i % 4096, 1.0);
-        });
-        assert!(red.profile().suggests_privatization());
-
-        // Scattered one-shot updates: ~1 update per page → atomics.
-        let mut out2 = vec![0.0f64; n];
-        let red2 = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut out2, 2));
-        reduce(&pool, &red2, 0..1000, Schedule::default(), |v, i| {
-            v.apply((i * 997) % n, 1.0);
-        });
-        assert!(!red2.profile().suggests_privatization());
-    }
-
-    #[test]
-    fn composes_with_stateful_strategies() {
-        // Keeper needs its epilogue forwarded; results must stay correct.
-        let pool = ThreadPool::new(3);
-        let mut out = vec![0i64; 300];
-        let red = ProfilingReduction::new(KeeperReduction::<i64, Sum>::new(&mut out, 3));
-        reduce(&pool, &red, 0..300, Schedule::default(), |v, i| {
-            v.apply(299 - i, 2);
-        });
-        assert_eq!(red.profile().total_updates(), 300);
-        assert_eq!(red.name(), "profiled(keeper)");
-        drop(red);
-        assert!(out.iter().all(|&x| x == 2));
-    }
-
-    #[test]
-    fn recommendation_rules() {
-        let pool = ThreadPool::new(4);
-        let n = 100_000;
-
-        // Stencil-like, ownership-aligned updates → keeper.
-        let mut out = vec![0.0f64; n];
-        let red = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut out, 4));
-        reduce(&pool, &red, 1..n - 1, Schedule::default(), |v, i| {
-            v.apply(i - 1, 1.0);
-            v.apply(i + 1, 1.0);
-        });
-        assert_eq!(red.profile().recommend(n), crate::Strategy::Keeper);
-
-        // Dense repeated updates to a small hot region → block privatize.
-        let mut out = vec![0.0f64; n];
-        let red = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut out, 4));
-        reduce(&pool, &red, 0..100_000, Schedule::dynamic(64), |v, i| {
-            v.apply(i % 3000, 1.0);
-        });
-        assert!(matches!(
-            red.profile().recommend(n),
-            crate::Strategy::BlockCas { .. }
-        ));
-
-        // Sparse one-shot global scatter → atomics.
-        let mut out = vec![0.0f64; n];
-        let red = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut out, 4));
-        reduce(&pool, &red, 0..500, Schedule::dynamic(8), |v, i| {
-            v.apply((i * 7919) % n, 1.0);
-        });
-        assert_eq!(red.profile().recommend(n), crate::Strategy::Atomic);
-    }
-
-    #[test]
-    fn empty_region_profile_is_empty() {
-        let pool = ThreadPool::new(2);
-        let mut out = vec![0.0f64; 10];
-        let red = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut out, 2));
-        reduce(&pool, &red, 0..0, Schedule::default(), |_v, _i| {});
-        let p = red.profile();
-        assert_eq!(p.total_updates(), 0);
-        assert!(!p.suggests_privatization());
-        assert_eq!(p.per_thread[0].updates_per_page(), 0.0);
     }
 }

@@ -580,8 +580,10 @@ pub mod fuzz {
     /// reordered drain) the replay fingerprint would no longer be a pure
     /// function of the seed and one-line repros would lie. Two legs:
     ///
-    /// 1. fixed-strategy regions (block-private + hybrid, the two arena
-    ///    planes) run `fresh` (new executor, new arena, per region) and
+    /// 1. fixed-strategy regions (block-private + dense, the two arena
+    ///    planes: block slabs and dense [`crate::arena::AlignedBuf`]
+    ///    replicas drawn from the same slab pool) run `fresh` (new
+    ///    executor, new arena, per region) and
     ///    `retained` (one executor, recycled scratch) under the same
     ///    seeded controller — hook totals and per-thread merge orders
     ///    must match exactly;
@@ -595,13 +597,7 @@ pub mod fuzz {
         let block_size = 32usize;
         let updates = 8 * n;
         let regions = 3usize;
-        let strategies = [
-            Strategy::BlockPrivate { block_size },
-            Strategy::Hybrid {
-                block_size,
-                threshold: 1,
-            },
-        ];
+        let strategies = [Strategy::BlockPrivate { block_size }, Strategy::Dense];
 
         let kernel = ScatterKernel { n, seed };
         let mut want = vec![0i64; n];
@@ -972,137 +968,6 @@ pub mod fuzz {
         Ok(())
     }
 
-    /// Everything one segmented fuzz iteration observed.
-    pub struct SegmentedOutcome {
-        /// `Ok` when every (bucket_bits, budget, region) combination
-        /// matched the sequential reduction bit-for-bit.
-        pub result: Result<(), String>,
-        /// Preemptions the controller charged (all threads).
-        pub preemptions: u64,
-        /// [`HookPoint::BucketSpill`] crossings — part of the replay
-        /// fingerprint, and proof the sweep exercised the spill paths.
-        pub bucket_spills: u64,
-    }
-
-    /// One segmented fuzz iteration: sweep the two-level segmented
-    /// reducer across bucket granularities and scratch budgets —
-    /// including a zero budget, which forces every bucket fill onto the
-    /// sorted-overflow path — under the seed's schedule controller. Each
-    /// combination runs two back-to-back regions on one executor, so the
-    /// second always merges out of retained scratch. Integer elements
-    /// keep the check bit-exact under any interleaving.
-    pub fn segmented_case(threads: usize, seed: u64) -> SegmentedOutcome {
-        let n = 512usize;
-        let updates = 8 * n;
-        let kernel = ScatterKernel { n, seed };
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-
-        let session = verify::install(params_for_seed(seed));
-        let pool = ThreadPool::new(threads);
-        let mut result = Ok(());
-        'sweep: for bucket_bits in [1u32, 3, 6] {
-            let block_bytes = (1usize << bucket_bits) * std::mem::size_of::<i64>();
-            // Unlimited lets every block promote to a dense copy, the
-            // middle budget admits roughly two promotions per thread,
-            // and zero pins every spill to the overflow run.
-            let budgets = [
-                crate::PlanBudget::UNLIMITED,
-                crate::PlanBudget::new(2 * threads * block_bytes),
-                crate::PlanBudget::new(0),
-            ];
-            for budget in budgets {
-                let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Segmented { bucket_bits });
-                ex.set_budget(budget);
-                for region in 0..2 {
-                    let mut out = vec![0i64; n];
-                    ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-                    if out != want {
-                        result = Err(format!(
-                            "seed {seed}: segmented-{bucket_bits} budget {} region {region} \
-                             diverged from sequential",
-                            budget.max_scratch_bytes
-                        ));
-                        break 'sweep;
-                    }
-                }
-            }
-        }
-        drop(pool);
-        SegmentedOutcome {
-            result,
-            preemptions: session.preemptions(),
-            bucket_spills: session.total(HookPoint::BucketSpill),
-        }
-    }
-
-    /// One segmented fault-injection iteration: plant a panic at a
-    /// seed-chosen [`HookPoint::BucketSpill`] crossing — the
-    /// bucket-overflow handler, mid-loop on a worker thread — and demand
-    /// that (a) the region panics instead of deadlocking, and (b) the
-    /// same pool and executor then rerun the region unperturbed to the
-    /// exact sequential result, proving a death inside the spill path
-    /// leaves no retained scratch the next region could double-count.
-    pub fn segmented_fault_case(threads: usize, seed: u64) -> Result<(), String> {
-        let n = 64usize;
-        let updates = 16 * n;
-        let h = mix64(seed ^ 0x5E97_FA17);
-        let tid = (h % threads as u64) as usize;
-        // With bucket_bits 2 (capacity 4) and a zero budget every fourth
-        // apply into a block spills, so each thread crosses BucketSpill
-        // dozens of times per region; the first few are always
-        // reachable.
-        let nth = 1 + (h >> 8) % 4;
-
-        let session = verify::install(VerifyConfig {
-            seed,
-            preempt_per_mille: 100,
-            budget: 64,
-            delay_nanos: 0,
-            migrate_per_mille: 0,
-            fault: Some(FaultSpec {
-                tid,
-                point: HookPoint::BucketSpill,
-                nth,
-            }),
-        });
-        let pool = ThreadPool::new(threads);
-        let kernel = RoundRobinKernel { n };
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Segmented { bucket_bits: 2 });
-        // Zero budget: no dense promotions, so spills keep recurring
-        // instead of stopping after one promotion per block.
-        ex.set_budget(crate::PlanBudget::new(0));
-        let mut out = vec![0i64; n];
-        // Silent hook for the same reason as `fault_case`.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        }))
-        .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: injected fault at bucket_spill #{nth} on tid {tid} never fired"
-            ));
-        }
-        drop(session);
-
-        // The pool and executor must survive the mid-spill death: rerun
-        // the same region on the same objects, unperturbed, and demand
-        // the exact sequential result.
-        let mut out = vec![0i64; n];
-        ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-        if out != want {
-            return Err(format!(
-                "seed {seed}: post-fault rerun diverged after bucket_spill #{nth} on tid {tid}"
-            ));
-        }
-        Ok(())
-    }
-
     /// Everything one delta fuzz iteration observed.
     pub struct DeltaOutcome {
         /// `Ok` when every incremental batch — across both the
@@ -1129,10 +994,9 @@ pub mod fuzz {
     /// retractions take the exact-inverse fast path when the dirty
     /// fraction allows) and an `i64` Min leg (no inverse — every batch
     /// refolds its dirty blocks from the contribution log). Both legs
-    /// migrate strategies mid-stream — including onto the segmented
-    /// reducer, whose retained scratch must be invalidated for dirty
-    /// blocks — and every third round scatters updates array-wide to
-    /// force the full-refold fallback.
+    /// migrate strategies mid-stream — the delta state must survive
+    /// every switch — and every third round scatters updates array-wide
+    /// to force the full-refold fallback.
     pub fn delta_case(threads: usize, seed: u64) -> DeltaOutcome {
         use crate::{DeltaBatch, Min};
 
@@ -1191,7 +1055,7 @@ pub mod fuzz {
                 break;
             }
             if round == 1 {
-                ex.migrate_to(Strategy::Segmented { bucket_bits: 4 });
+                ex.migrate_to(Strategy::BlockLock { block_size: 16 });
             }
             if round == 3 {
                 ex.migrate_to(Strategy::Atomic);
@@ -1238,7 +1102,7 @@ pub mod fuzz {
                     break;
                 }
                 if round == 2 {
-                    mex.migrate_to(Strategy::Segmented { bucket_bits: 5 });
+                    mex.migrate_to(Strategy::BlockLock { block_size: 32 });
                 }
             }
             migrations += mex.migrations();
@@ -1434,28 +1298,12 @@ mod tests {
             stats.migrations >= 1,
             "dense→sparse shift must migrate: {stats:?}"
         );
-        // 8 regions x (1 adaptive + 8 fixed candidates) x 2 elem types.
-        assert_eq!(stats.regions, 8 * (1 + 8) * 2);
+        // 8 regions x (1 adaptive + 7 fixed candidates) x 2 elem types.
+        assert_eq!(stats.regions, 8 * (1 + 7) * 2);
         // The i64 adaptive executor ran more than one strategy.
         assert!(stats.strategy_regions.len() >= 2, "{stats:?}");
         let total: u64 = stats.strategy_regions.iter().map(|(_, n)| n).sum();
         assert_eq!(total, 8);
-    }
-
-    #[cfg(feature = "verify")]
-    #[test]
-    fn segmented_fuzz_case_is_deterministic_and_replays_faults() {
-        let first = fuzz::segmented_case(3, 42);
-        first.result.expect("segmented sweep matches sequential");
-        assert!(
-            first.bucket_spills > 0,
-            "zero-budget leg must exercise the spill path"
-        );
-        let second = fuzz::segmented_case(3, 42);
-        second.result.expect("segmented sweep matches sequential");
-        assert_eq!(first.bucket_spills, second.bucket_spills);
-        assert_eq!(first.preemptions, second.preemptions);
-        fuzz::segmented_fault_case(3, 42).expect("planted bucket-spill fault replays");
     }
 
     #[cfg(feature = "verify")]

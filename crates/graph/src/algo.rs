@@ -93,11 +93,9 @@ pub fn pagerank_with_policy(
 /// privatized scratch. Power-law graphs concentrate in-edges on a few
 /// hub blocks; under a tight budget the plan keeps those hot blocks
 /// privatized and demotes the long cold tail to batched striped-lock
-/// updates, so memory stays bounded while the hubs stay fast. Pairs
-/// naturally with `Strategy::Segmented` (buckets for the tail, promoted
-/// dense copies for the hubs, the same budget governing promotion) —
-/// the final report's `scratch_bytes`/`budget_bytes` record the
-/// footprint actually used.
+/// updates, so memory stays bounded while the hubs stay fast. The final
+/// report's `scratch_bytes`/`budget_bytes` record the footprint actually
+/// used.
 #[allow(clippy::too_many_arguments)]
 pub fn pagerank_with_budget(
     pool: &ThreadPool,
@@ -678,7 +676,7 @@ mod tests {
     fn pagerank_strategies_agree() {
         let g = Graph::de_bruijn(8);
         let a = pagerank(&pool(), &g, Strategy::Dense, 0.85, 1e-12, 100);
-        for strategy in [Strategy::Atomic, Strategy::Keeper, Strategy::Log] {
+        for strategy in [Strategy::Atomic, Strategy::Keeper, Strategy::MapHash] {
             let b = pagerank(&pool(), &g, strategy, 0.85, 1e-12, 100);
             assert_eq!(a.iterations, b.iterations);
             for (x, y) in a.ranks.iter().zip(&b.ranks) {
@@ -688,25 +686,12 @@ mod tests {
     }
 
     #[test]
-    fn pagerank_budgeted_and_segmented_agree() {
+    fn pagerank_budgeted_agree() {
         let g = Graph::de_bruijn(9);
         let want = pagerank(&pool(), &g, Strategy::Dense, 0.85, 1e-12, 60);
-        // A segmented scatter and a budget-demoted block scatter must both
-        // reproduce the unbudgeted ranks; zero budget (everything demoted
-        // or spilling) is the stress case.
+        // A budget-demoted block scatter must reproduce the unbudgeted
+        // ranks; zero budget (everything demoted) is the stress case.
         let configs = [
-            (
-                Strategy::Segmented {
-                    bucket_bits: Strategy::bucket_bits_for(256),
-                },
-                PlanBudget::UNLIMITED,
-            ),
-            (
-                Strategy::Segmented {
-                    bucket_bits: Strategy::bucket_bits_for(256),
-                },
-                PlanBudget::new(0),
-            ),
             (
                 Strategy::BlockPrivate { block_size: 64 },
                 PlanBudget::new(0),
@@ -736,18 +721,14 @@ mod tests {
                 assert_eq!(report.budget_bytes, 0, "unlimited encodes as 0");
             } else {
                 assert_eq!(report.budget_bytes, budget.max_scratch_bytes);
-                // Planned block scratch is exactly what the budget caps;
-                // segmented scratch also counts its (budget-exempt,
-                // O(buckets)) tables, so the cap applies to block plans.
-                if matches!(strategy, Strategy::BlockPrivate { .. }) {
-                    assert!(
-                        report.scratch_bytes <= budget.max_scratch_bytes,
-                        "{}: scratch {} over budget {}",
-                        strategy.label(),
-                        report.scratch_bytes,
-                        budget.max_scratch_bytes
-                    );
-                }
+                // Planned block scratch is exactly what the budget caps.
+                assert!(
+                    report.scratch_bytes <= budget.max_scratch_bytes,
+                    "{}: scratch {} over budget {}",
+                    strategy.label(),
+                    report.scratch_bytes,
+                    budget.max_scratch_bytes
+                );
             }
         }
     }

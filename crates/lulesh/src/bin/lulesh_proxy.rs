@@ -21,14 +21,13 @@ fn parse_scheme(name: &str) -> ForceScheme {
         "block-lock" => ForceScheme::Spray(Strategy::BlockLock { block_size: 1024 }),
         "block-cas" => ForceScheme::Spray(Strategy::BlockCas { block_size: 1024 }),
         "keeper" => ForceScheme::Spray(Strategy::Keeper),
-        "log" => ForceScheme::Spray(Strategy::Log),
         // Anything else goes through the full scheme grammar, so every
-        // spray strategy label works (segmented-10, hybrid-64-t2, ...).
+        // spray strategy label works (block-CAS-64, map-hash, ...).
         other => other.parse().unwrap_or_else(|e| {
             eprintln!("{e}");
             eprintln!(
-                "choices: seq 8copy dense atomic block-private block-lock block-cas keeper log \
-                 or any spray strategy label (e.g. segmented-10, hybrid-1024-t2)"
+                "choices: seq 8copy dense atomic block-private block-lock block-cas keeper \
+                 or any spray strategy label (e.g. block-CAS-64, map-hash)"
             );
             std::process::exit(2);
         }),

@@ -228,11 +228,8 @@ impl ForceAccum {
     /// lacks (it always pays 8 full nodal replicas). Both the stress and
     /// hourglass passes run under the cap: their element→node scatter
     /// plans demote the costliest shared node blocks to batched
-    /// striped-lock updates until the projection fits, and a segmented
-    /// scheme (`ForceScheme::Spray(Strategy::Segmented { .. })`) holds
-    /// its corner scatters in cache-resident buckets, promoting hot node
-    /// blocks to dense copies only within its budget share. Ignored by
-    /// the non-spray schemes.
+    /// striped-lock updates until the projection fits. Ignored by the
+    /// non-spray schemes.
     pub fn with_budget(scheme: ForceScheme, policy: ExecutorPolicy, budget: PlanBudget) -> Self {
         ForceAccum {
             scheme,
@@ -490,14 +487,13 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_and_segmented_forces_match_sequential() {
+    fn budgeted_forces_match_sequential() {
         let reference = forces_with(ForceScheme::Seq, 1);
         let scale: f64 = reference.iter().fold(0.0, |a, &b| a.max(b.abs()));
         assert!(scale > 0.0, "reference forces are all zero");
 
         // Budget ladder on the block plan (zero demotes every shared node
-        // block) and the segmented scheme with and without promotion
-        // headroom; repeated sweeps also cover the plan-replay path under
+        // block); repeated sweeps also cover the plan-replay path under
         // demotion.
         let configs = [
             (
@@ -507,18 +503,6 @@ mod tests {
             (
                 ForceScheme::Spray(Strategy::BlockPrivate { block_size: 64 }),
                 PlanBudget::new(4096),
-            ),
-            (
-                ForceScheme::Spray(Strategy::Segmented {
-                    bucket_bits: Strategy::bucket_bits_for(64),
-                }),
-                PlanBudget::UNLIMITED,
-            ),
-            (
-                ForceScheme::Spray(Strategy::Segmented {
-                    bucket_bits: Strategy::bucket_bits_for(64),
-                }),
-                PlanBudget::new(0),
             ),
         ];
         for (scheme, budget) in configs {

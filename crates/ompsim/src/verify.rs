@@ -63,11 +63,6 @@ pub enum HookPoint {
     /// process-wide stream instead of a per-thread one; see
     /// [`migration_choice`].
     MigrationDecision,
-    /// A segmented view's bucket for one block just filled and is about
-    /// to spill — either promoting the block to a dense private copy or
-    /// flushing the bucket's entries to the thread's sorted overflow run
-    /// (`idx` = block index).
-    BucketSpill,
     /// A delta executor is about to stage one dirty block — applying
     /// retractions/updates against the previous result or refolding the
     /// block's contribution log (`idx` = dirty block index). Crossed
@@ -84,7 +79,7 @@ pub enum HookPoint {
 }
 
 /// Number of distinct hook points (array dimension for counters).
-pub const NPOINTS: usize = 11;
+pub const NPOINTS: usize = 10;
 
 impl HookPoint {
     /// Every hook point, in counter-index order.
@@ -97,7 +92,6 @@ impl HookPoint {
         HookPoint::QueueDrain,
         HookPoint::MergeStep,
         HookPoint::MigrationDecision,
-        HookPoint::BucketSpill,
         HookPoint::DeltaApply,
         HookPoint::ShardRoute,
     ];
@@ -119,7 +113,6 @@ impl HookPoint {
             HookPoint::QueueDrain => "queue_drain",
             HookPoint::MergeStep => "merge_step",
             HookPoint::MigrationDecision => "migration_decision",
-            HookPoint::BucketSpill => "bucket_spill",
             HookPoint::DeltaApply => "delta_apply",
             HookPoint::ShardRoute => "shard_route",
         }

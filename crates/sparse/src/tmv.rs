@@ -85,10 +85,9 @@ impl<T: Num> PlannedTmv<T> {
     /// Caps the privatized scratch of every later product at `budget`
     /// (see [`PlanBudget`]): the recorded column-scatter plan demotes its
     /// costliest shared blocks to batched striped-lock updates until the
-    /// projection fits, and a segmented strategy limits its dense
-    /// promotions to its per-thread share. MKL's inspector has no such
-    /// knob — its optimize step buys speed with unbounded workspace; here
-    /// the time-memory trade is explicit, and each product's
+    /// projection fits. MKL's inspector has no such knob — its optimize
+    /// step buys speed with unbounded workspace; here the time-memory
+    /// trade is explicit, and each product's
     /// [`RunReport::scratch_bytes`] shows what the cap bought. Takes
     /// effect on the next recording; pair with a fresh `PlannedTmv` (or a
     /// deviating matrix) to re-record under a tighter cap.
@@ -312,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_and_segmented_planned_tmv_match_seq() {
+    fn budgeted_planned_tmv_match_seq() {
         let a = gen::random(400, 256, 4000, 9);
         let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.02).cos()).collect();
         let mut expected = vec![0.0f64; 256];
@@ -320,23 +319,10 @@ mod tests {
 
         let pool = ThreadPool::new(4);
         // Budget ladder on the block plan (zero demotes every shared
-        // block) plus the segmented strategy with and without promotion
-        // headroom: all must match the sequential product on replays too.
+        // block): all must match the sequential product on replays too.
         let configs = [
             (Strategy::BlockCas { block_size: 32 }, PlanBudget::new(0)),
             (Strategy::BlockCas { block_size: 32 }, PlanBudget::new(2048)),
-            (
-                Strategy::Segmented {
-                    bucket_bits: Strategy::bucket_bits_for(32),
-                },
-                PlanBudget::UNLIMITED,
-            ),
-            (
-                Strategy::Segmented {
-                    bucket_bits: Strategy::bucket_bits_for(32),
-                },
-                PlanBudget::new(0),
-            ),
         ];
         for (strategy, budget) in configs {
             let mut tmv = PlannedTmv::new(strategy);

@@ -61,10 +61,7 @@ fn main() {
         Strategy::Atomic,
         Strategy::BlockCas { block_size: 4096 },
         Strategy::Keeper,
-        Strategy::Hybrid {
-            block_size: 4096,
-            threshold: 4,
-        },
+        Strategy::BlockPrivate { block_size: 4096 },
     ] {
         let mut grad = Grid2::zeros(h, w);
         let t0 = Instant::now();

@@ -1,30 +1,29 @@
 //! The performance-portability endgame (paper §IX): let the library pick
 //! the strategy.
 //!
-//! Two complementary mechanisms on the same repeated workload:
-//! 1. **Profile-guided**: run once with a `ProfilingReduction`, inspect
-//!    the measured access pattern, take its recommendation.
-//! 2. **Online auto-tuning**: hand the repeated reduction to `AutoTuner`,
-//!    which trials every candidate and settles on the measured winner.
+//! An executor under `ExecutorPolicy::Adaptive` scores every region's
+//! telemetry (applies per element, contention, barrier wait) against its
+//! cost model and migrates once the current strategy stays out of band
+//! for `patience` consecutive regions. Here a PageRank-like push runs
+//! dense for a while, then its frontier collapses to a sparse tail; the
+//! executor follows the workload from atomics to privatized blocks and
+//! back.
 //!
 //! ```sh
 //! cargo run --release --example self_tuning
 //! ```
 
 use ompsim::{Schedule, ThreadPool};
-use spray::{
-    reduce_chunked, AtomicReduction, AutoTuner, Kernel, ProfilingReduction, ReducerView, Sum,
-};
-use std::time::Instant;
+use spray::{AdaptiveConfig, ExecutorPolicy, Kernel, ReducerView, RegionExecutor, Strategy, Sum};
 
-/// A PageRank-like push over a synthetic power-law-ish graph: mixed
-/// locality, the kind of workload where the best strategy is not obvious.
-struct Push {
+/// A synthetic power-law-ish graph: mixed locality, the kind of workload
+/// where the best strategy is not obvious.
+struct Graph {
     targets: Vec<u32>,
     offsets: Vec<usize>,
 }
 
-impl Push {
+impl Graph {
     fn synthetic(n: usize) -> Self {
         let mut targets = Vec::new();
         let mut offsets = vec![0usize];
@@ -48,14 +47,21 @@ impl Push {
             }
             offsets.push(targets.len());
         }
-        Push { targets, offsets }
+        Graph { targets, offsets }
     }
 }
 
-impl Kernel<f64> for Push {
+/// One push sweep in which only every `stride`-th source is active.
+struct Push<'g> {
+    g: &'g Graph,
+    stride: usize,
+}
+
+impl Kernel<f64> for Push<'_> {
     #[inline]
-    fn item<V: ReducerView<f64>>(&self, view: &mut V, u: usize) {
-        for &v in &self.targets[self.offsets[u]..self.offsets[u + 1]] {
+    fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
+        let u = i * self.stride;
+        for &v in &self.g.targets[self.g.offsets[u]..self.g.offsets[u + 1]] {
             view.apply(v as usize, 1.0);
         }
     }
@@ -64,58 +70,41 @@ impl Kernel<f64> for Push {
 fn main() {
     let n = 500_000;
     let pool = ThreadPool::new(4);
-    let kernel = Push::synthetic(n);
+    let g = Graph::synthetic(n);
     println!(
         "workload: {} scatters into {n} locations, {} threads\n",
-        kernel.targets.len(),
+        g.targets.len(),
         pool.num_threads()
     );
 
-    // --- 1. Profile-guided choice ---
-    let mut probe = vec![0.0f64; n];
-    let profiled = ProfilingReduction::new(AtomicReduction::<f64, Sum>::new(&mut probe, 4));
-    reduce_chunked(&pool, &profiled, 0..n, Schedule::default(), |v, chunk| {
-        for u in chunk {
-            kernel.item(v, u);
-        }
-    });
-    let profile = profiled.profile();
-    println!("profile: {} updates total", profile.total_updates());
-    for (t, p) in profile.per_thread.iter().enumerate() {
-        println!(
-            "  thread {t}: {} updates over [{:?}..{:?}], {} pages touched ({:.1} upd/page)",
-            p.updates,
-            p.min_index,
-            p.max_index,
-            p.distinct_pages,
-            p.updates_per_page()
-        );
-    }
-    let recommended = profile.recommend(n);
-    println!("profile recommendation: {}\n", recommended.label());
-
-    // --- 2. Online auto-tuning over repeated invocations ---
-    let mut tuner = AutoTuner::with_default_candidates(1024);
-    let mut out = vec![0.0f64; n];
-    let t0 = Instant::now();
-    let rounds = 30;
-    for _ in 0..rounds {
-        out.fill(0.0);
-        tuner.run::<f64, Sum, _>(&pool, &mut out, 0..n, Schedule::default(), &kernel);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    println!("auto-tuner after {rounds} rounds ({elapsed:.2} s total):");
-    for (s, mean) in tuner.measurements() {
-        match mean {
-            Some(m) => println!("  {:<20} {:.4} s/round", s.label(), m),
-            None => println!("  {:<20} (never tried)", s.label()),
-        }
-    }
-    println!(
-        "settled on: {} (settled = {})",
-        tuner.best().map(|s| s.label()).unwrap_or_default(),
-        tuner.settled()
+    let mut ex = RegionExecutor::<f64, Sum>::with_policy(
+        Strategy::Atomic,
+        ExecutorPolicy::Adaptive(AdaptiveConfig::default()),
     );
-    assert_eq!(out.iter().sum::<f64>() as u64, kernel.targets.len() as u64);
+    let mut out = vec![0.0f64; n];
+    for (phase, stride) in [("dense", 1), ("sparse", 64)] {
+        let kernel = Push { g: &g, stride };
+        let sources = n.div_ceil(stride);
+        for round in 0..8 {
+            out.fill(0.0);
+            let report = ex.run(&pool, &mut out, 0..sources, Schedule::default(), &kernel);
+            let applies = report.counters.totals().applies;
+            println!(
+                "{phase:<6} round {round}: {:<18} {:>7.2} ms  {:.2} applies/element",
+                report.strategy,
+                report.phases.region_secs * 1e3,
+                applies as f64 / n as f64
+            );
+            assert_eq!(out.iter().sum::<f64>() as u64, applies);
+        }
+    }
+
+    println!(
+        "\n{} migrations ({:.3} ms in the migration protocol)",
+        ex.migrations(),
+        ex.migration_secs() * 1e3
+    );
+    for (label, regions) in ex.strategy_regions() {
+        println!("  {label:<18} {regions} regions");
+    }
 }

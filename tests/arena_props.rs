@@ -1,27 +1,23 @@
 //! Arena-backed storage properties.
 //!
-//! The block/hybrid/dense strategies carve their private copies out of
-//! aligned slab arenas ([`spray::arena`]) instead of one `Box<[T]>` per
-//! block. Two things must hold:
+//! The block/dense strategies carve their private copies out of aligned
+//! slab arenas ([`spray::arena`]) instead of one `Box<[T]>` per block.
+//! Storage is an implementation detail: results must be bit-identical to
+//! the sequential reference for every `Element` type, including
+//! odd/non-power-of-two block sizes and arrays whose last block is short
+//! (the epilogue's partial-tail path). Update values are chosen exactly
+//! representable so float results are associativity-proof and the
+//! comparison can be exact.
 //!
-//! * **Bit-identity.** Storage is an implementation detail: results must
-//!   be bit-identical to the sequential reference for every `Element`
-//!   type, including odd/non-power-of-two block sizes and arrays whose
-//!   last block is short (the epilogue's partial-tail path). Update
-//!   values are chosen exactly representable so float results are
-//!   associativity-proof and the comparison can be exact.
-//! * **Allocation shape.** Privatizing `k` blocks must cost `O(log k)`
-//!   slab allocations per thread (doubling growth), not `k` boxed-slice
-//!   allocations — verified with the `memtrack` counting allocator.
+//! The arena's allocation shape (slabs, not one allocation per block) is
+//! checked in `alloc_counts.rs`, a test binary of its own, because it
+//! reads the process-wide allocation counter.
 
 use ompsim::{Schedule, ThreadPool};
 use proptest::prelude::*;
 use spray::{
     reduce_strategy, AtomicElement, Kernel, Max, Min, ReduceOp, ReducerView, Strategy, Sum,
 };
-
-#[global_allocator]
-static ALLOC: memtrack::CountingAlloc = memtrack::CountingAlloc;
 
 /// An explicit update stream: iteration `i` performs `updates[i]`.
 struct StreamKernel<'a, T> {
@@ -37,24 +33,13 @@ impl<T: AtomicElement> Kernel<T> for StreamKernel<'_, T> {
 }
 
 /// The strategies whose private storage moved onto the arena/aligned-buf
-/// plane: the three block flavors, hybrid (privatize-on-second-touch so
-/// both its atomic and private paths run), dense, and segmented (whose
-/// buckets and promoted dense copies live in two arenas; deriving its
-/// bucket granularity from the odd block sizes below exercises short
-/// trailing blocks and constantly spilling capacity-4 buckets).
+/// plane: the three block flavors and dense.
 fn arena_strategies(block: usize) -> Vec<Strategy> {
     vec![
         Strategy::Dense,
         Strategy::BlockPrivate { block_size: block },
         Strategy::BlockLock { block_size: block },
         Strategy::BlockCas { block_size: block },
-        Strategy::Hybrid {
-            block_size: block,
-            threshold: 1,
-        },
-        Strategy::Segmented {
-            bucket_bits: Strategy::bucket_bits_for(block),
-        },
     ]
 }
 
@@ -133,8 +118,7 @@ macro_rules! identity_props {
                 len in 1usize..300,
                 threads in 1usize..5,
                 // Odd, non-power-of-two and degenerate block sizes; the
-                // block reducers round up to a power of two internally,
-                // hybrid and the arena take them as-is.
+                // block reducers round up to a power of two internally.
                 block in prop::sample::select(vec![1usize, 3, 7, 48, 100, 257, 1024]),
                 seed in any::<u64>(),
             ) {
@@ -154,51 +138,4 @@ identity_props! {
     sums_bit_exact_usize: usize, Sum, |x| x as usize;
     min_bit_exact_f64: f64, Min, |x| x as f64;
     max_bit_exact_i64: i64, Max, |x| x as i64;
-}
-
-/// Privatizing every block of the array must allocate like a slab arena
-/// (a handful of doubling slabs per thread), not like the seed's
-/// one-`Box<[T]>`-per-block storage: strictly fewer heap allocations
-/// than privatized blocks, for the whole region end to end.
-#[test]
-fn arena_allocates_slabs_not_per_block() {
-    let n = 8192usize;
-    let block = 64usize; // 128 blocks, each privatized by exactly one thread
-    let pool = ThreadPool::new(4);
-    let mut out = vec![0.0f64; n];
-
-    struct TouchAll;
-    impl Kernel<f64> for TouchAll {
-        fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
-            view.apply(i, 1.0);
-        }
-    }
-
-    let before = memtrack::total_allocations();
-    let report = reduce_strategy::<f64, Sum, _>(
-        Strategy::BlockPrivate { block_size: block },
-        &pool,
-        &mut out,
-        0..n,
-        Schedule::default(),
-        &TouchAll,
-    );
-    let allocs = memtrack::total_allocations() - before;
-
-    let privatized = report.counters.totals().fallback_privatizations;
-    assert_eq!(
-        privatized,
-        (n / block) as u64,
-        "every block privatizes once"
-    );
-    // The region's *entire* allocation count — bookkeeping vectors, slabs,
-    // report strings and all — must stay below one allocation per
-    // privatized block; the seed's boxed-slice storage alone used one per
-    // block before any bookkeeping.
-    assert!(
-        (allocs as u64) < privatized,
-        "region allocated {allocs} times for {privatized} privatized blocks — \
-         per-block allocation is back"
-    );
-    assert!(out.iter().all(|&x| x == 1.0));
 }

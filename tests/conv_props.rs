@@ -51,7 +51,7 @@ proptest! {
 
         let pool = ThreadPool::new(threads);
         let kernel = BackpropKernel { inp: &inp, weights: &weights };
-        for strategy in [Strategy::Keeper, Strategy::Hybrid { block_size: 32, threshold: 2 }] {
+        for strategy in [Strategy::Keeper, Strategy::BlockCas { block_size: 32 }] {
             let mut out = vec![0.0f64; n];
             reduce_strategy::<f64, Sum, _>(
                 strategy, &pool, &mut out, r..n - r, Schedule::default(), &kernel,

@@ -1,107 +1,11 @@
 //! End-to-end integration of the beyond-the-paper extensions, driven
-//! through the umbrella crate: the adaptive hybrid reducer, the auto-tuner,
-//! profiling-guided strategy choice, CSC/SpMM kernels, Kahan elements, and
+//! through the umbrella crate: CSC/SpMM kernels, Kahan elements, and
 //! LULESH checkpoint/restart across force schemes.
 
 use spray_repro::lulesh;
 use spray_repro::ompsim::{Schedule, ThreadPool};
 use spray_repro::sparse;
-use spray_repro::spray::{
-    self, reduce_strategy, AutoTuner, Kernel, ProfilingReduction, ReducerView, Strategy, Sum,
-};
-
-struct Scatter {
-    n: usize,
-}
-impl Kernel<f64> for Scatter {
-    fn item<V: ReducerView<f64>>(&self, view: &mut V, i: usize) {
-        view.apply((i * 31) % self.n, 1.0);
-        view.apply(i % self.n, 1.0);
-    }
-}
-
-#[test]
-fn hybrid_agrees_with_paper_strategies() {
-    let n = 20_000;
-    let pool = ThreadPool::new(4);
-    let kernel = Scatter { n };
-
-    let mut want = vec![0.0f64; n];
-    reduce_strategy::<f64, Sum, _>(
-        Strategy::Dense,
-        &pool,
-        &mut want,
-        0..n,
-        Schedule::default(),
-        &kernel,
-    );
-
-    for threshold in [0, 2, 16, u32::MAX] {
-        let mut out = vec![0.0f64; n];
-        reduce_strategy::<f64, Sum, _>(
-            Strategy::Hybrid {
-                block_size: 128,
-                threshold,
-            },
-            &pool,
-            &mut out,
-            0..n,
-            Schedule::default(),
-            &kernel,
-        );
-        for (i, (a, b)) in out.iter().zip(&want).enumerate() {
-            assert!((a - b).abs() < 1e-9, "threshold {threshold} at {i}");
-        }
-    }
-}
-
-#[test]
-fn autotuner_full_loop_stays_correct_and_settles() {
-    let n = 5_000;
-    let pool = ThreadPool::new(3);
-    let kernel = Scatter { n };
-    let mut tuner = AutoTuner::with_default_candidates(256);
-    for round in 0..30 {
-        let mut out = vec![0.0f64; n];
-        tuner.run::<f64, Sum, _>(&pool, &mut out, 0..n, Schedule::default(), &kernel);
-        let total: f64 = out.iter().sum();
-        assert_eq!(total, 2.0 * n as f64, "round {round}");
-    }
-    assert!(tuner.settled());
-    assert!(tuner.invocations() == 30);
-}
-
-#[test]
-fn profile_recommendation_feeds_reduce_strategy() {
-    // Profile a workload with a cheap strategy, then run the recommended
-    // one; both must agree with the reference.
-    let n = 50_000;
-    let pool = ThreadPool::new(4);
-    let kernel = Scatter { n };
-
-    let mut probe = vec![0.0f64; n];
-    let profiled = ProfilingReduction::new(spray::AtomicReduction::<f64, Sum>::new(&mut probe, 4));
-    spray::reduce_chunked(&pool, &profiled, 0..n, Schedule::default(), |v, chunk| {
-        for i in chunk {
-            kernel.item(v, i);
-        }
-    });
-    let recommended = profiled.profile().recommend(n);
-    drop(profiled);
-
-    let mut out = vec![0.0f64; n];
-    reduce_strategy::<f64, Sum, _>(
-        recommended,
-        &pool,
-        &mut out,
-        0..n,
-        Schedule::default(),
-        &kernel,
-    );
-    for (a, b) in out.iter().zip(&probe) {
-        assert!((a - b).abs() < 1e-9);
-    }
-}
+use spray_repro::spray::{self, Kernel, ReducerView, Strategy, Sum};
 
 #[test]
 fn csc_and_csr_paths_agree_through_umbrella() {
@@ -175,7 +79,6 @@ fn kahan_histogram_through_every_privatizing_strategy() {
         Strategy::Dense,
         Strategy::BlockPrivate { block_size: 4 },
         Strategy::Keeper,
-        Strategy::Log,
         Strategy::MapBTree,
     ] {
         let mut out = vec![Kahan64::ZERO; n_bins];
@@ -196,12 +99,6 @@ fn kahan_histogram_through_every_privatizing_strategy() {
             }
             Strategy::Keeper => {
                 let red = spray::KeeperReduction::<Kahan64, Sum>::new(&mut out, 3);
-                spray::reduce(&pool, &red, 0..10_000, Schedule::default(), |v, i| {
-                    KahanHist.item(v, i)
-                });
-            }
-            Strategy::Log => {
-                let red = spray::LogReduction::<Kahan64, Sum>::new(&mut out, 3);
                 spray::reduce(&pool, &red, 0..10_000, Schedule::default(), |v, i| {
                     KahanHist.item(v, i)
                 });

@@ -105,14 +105,13 @@ fn block_private_matches_dense_order_exactly() {
 
 #[test]
 fn run_to_run_stability_for_deterministic_strategies() {
-    // Keeper, log, dense, block-*, maps: fixed schedule + fixed team size
+    // Keeper, dense, block-*, maps: fixed schedule + fixed team size
     // must give identical bits on every run (atomics are exempt).
     let (n_out, iters) = (32, 2048);
     for strategy in [
         Strategy::Dense,
         Strategy::BlockPrivate { block_size: 16 },
         Strategy::Keeper,
-        Strategy::Log,
         Strategy::MapBTree,
         Strategy::MapHash,
     ] {

@@ -279,9 +279,9 @@ proptest! {
     }
 
     /// Planned execution must be bit-identical to unplanned execution for
-    /// EVERY strategy — including [`Strategy::Hybrid`] and
-    /// [`Strategy::Log`], which have no plannable path: `run_planned` must
-    /// degrade to plain execution for them, never to a wrong answer.
+    /// EVERY strategy — including [`Strategy::Dense`] and
+    /// [`Strategy::MapHash`], which have no plannable path: `run_planned`
+    /// must degrade to plain execution for them, never to a wrong answer.
     #[test]
     fn planned_matrix_is_bit_exact_for_every_strategy(
         len in 1usize..80,
@@ -384,22 +384,26 @@ proptest! {
         }
     }
 
-    /// The two-level segmented reducer across bucket granularities —
-    /// including `bucket_bits: 1`, whose capacity-4 buckets spill on
-    /// nearly every fill — and scratch budgets — including zero, which
-    /// forbids dense promotion and pins every spill to the sorted
-    /// overflow run — must stay bit-exact with the sequential loop,
-    /// fresh and on scratch retained across regions.
+    /// Budget demotion on planned block-CAS: scratch budgets of
+    /// unlimited, two private blocks per thread, and zero (every shared
+    /// block demoted to in-place updates) must stay bit-exact with the
+    /// sequential loop on the recording region, on clean replays of the
+    /// budgeted plan, and on a deviating region that re-records under the
+    /// budget. Every planned region's scratch stays within the budget.
     #[test]
-    fn segmented_bucket_sizes_and_forced_spills_are_bit_exact(
+    fn budgeted_block_cas_plans_are_bit_exact(
         len in 1usize..200,
         threads in 1usize..6,
-        bucket_bits in prop::sample::select(vec![1u32, 2, 3, 5, 7]),
-        budget in prop::sample::select(vec![usize::MAX, 4096usize, 0]),
+        block in prop::sample::select(vec![2usize, 4, 8, 32, 128]),
+        budget_kind in 0usize..3,
         seed in any::<u64>(),
     ) {
         let n_iters = 300;
-        let n_regions = 2;
+        let budget = match budget_kind {
+            0 => PlanBudget::UNLIMITED,
+            1 => PlanBudget::new(2 * threads * block * std::mem::size_of::<i64>()),
+            _ => PlanBudget::new(0),
+        };
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -407,35 +411,46 @@ proptest! {
             state ^= state << 17;
             state
         };
-        let pool = ThreadPool::new(threads);
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Segmented { bucket_bits });
-        ex.set_budget(if budget == usize::MAX {
-            PlanBudget::UNLIMITED
-        } else {
-            PlanBudget::new(budget)
-        });
-        for region in 0..n_regions {
-            // Concentrated indices: every block's bucket fills many
-            // times over, so the spill paths are exercised every region.
-            let hot = (len / 4).max(1);
-            let updates: Vec<Vec<(usize, i64)>> = (0..n_iters)
+        // Concentrated indices: threads share most blocks, so the plan
+        // has shared blocks for the budget to demote.
+        let hot = (len / 4).max(1);
+        let mut stream = || -> Vec<Vec<(usize, i64)>> {
+            (0..n_iters)
                 .map(|_| {
                     let k = 1 + (next() % 3) as usize;
                     (0..k)
                         .map(|_| ((next() as usize) % hot, (next() % 100) as i64 - 50))
                         .collect()
                 })
-                .collect();
+                .collect()
+        };
+        let pool = ThreadPool::new(threads);
+        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::BlockCas { block_size: block });
+        ex.set_budget(budget);
+        let mut updates = stream();
+        // Recording region, two clean replays, then a deviating region.
+        for region in 0..4 {
+            if region == 3 {
+                updates = stream();
+            }
             let mut expected = vec![0i64; len];
             sequential_apply::<i64, Sum>(&mut expected, &updates);
 
             let kernel = StreamKernel { updates: &updates };
             let mut out = vec![0i64; len];
-            ex.run(&pool, &mut out, 0..n_iters, Schedule::default(), &kernel);
+            let report =
+                ex.run_planned(0, &pool, &mut out, 0..n_iters, Schedule::default(), &kernel);
             prop_assert_eq!(
                 &out, &expected,
-                "segmented-{} budget {} region {}", bucket_bits, budget, region
+                "block-CAS-{} budget {:?} region {}", block, budget, region
             );
+            if !budget.is_unlimited() {
+                prop_assert!(
+                    report.scratch_bytes <= budget.max_scratch_bytes,
+                    "block-CAS-{} region {}: scratch {} over budget {:?}",
+                    block, region, report.scratch_bytes, budget
+                );
+            }
         }
     }
 
@@ -601,85 +616,6 @@ proptest! {
                 &pool, &mut out, 0..n_iters, schedule, &kernel,
             );
             prop_assert_eq!(&out, &expected, "schedule {}", schedule.label());
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The missing matrix row: [`Strategy::Segmented`] crossed with
-    /// [`RegionExecutor::run_delta`]'s dirty-range invalidation *under
-    /// migration*. The executor starts segmented, accumulates dirty
-    /// blocks across incremental batches (pushes and retractions), is
-    /// migrated away mid-stream at an arbitrary round — which must
-    /// invalidate the retained dirty ranges along with the scratch —
-    /// and migrated back to segmented one round later. Every round's
-    /// output must equal a from-scratch fold of the live contribution
-    /// set, bit-for-bit: a stale dirty range surviving either hop would
-    /// leave a block un-refolded and diverge.
-    #[test]
-    fn segmented_delta_invalidation_survives_migration(
-        len in 16usize..128,
-        threads in 1usize..5,
-        bucket_bits in prop::sample::select(vec![1u32, 3, 5]),
-        seed in any::<u64>(),
-        switch_round in 1usize..5,
-        target in 0usize..8,
-    ) {
-        let n_rounds = 6;
-        let all = strategies(16);
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let pool = ThreadPool::new(threads);
-        let segmented = Strategy::Segmented { bucket_bits };
-        let mut ex = RegionExecutor::<i64, Sum>::new(segmented);
-        let mut out = vec![0i64; len];
-        let mut live: Vec<(usize, u64, i64)> = Vec::new();
-        let mut next_tag = 0u64;
-        for round in 0..n_rounds {
-            if round == switch_round {
-                ex.migrate_to(all[target % all.len()]);
-            } else if round == switch_round + 1 {
-                ex.migrate_to(segmented);
-            }
-            let mut batch = DeltaBatch::new();
-            // Retract a couple of *prior-round* contributions first, so
-            // the batch dirties blocks via the retraction path too.
-            for _ in 0..2 {
-                if live.is_empty() {
-                    break;
-                }
-                let k = (next() as usize) % live.len();
-                let (idx, tag, _) = live.swap_remove(k);
-                batch.retract(idx, tag);
-            }
-            // Concentrated pushes so the same blocks go dirty round
-            // after round (the ranges a stale cache would skip).
-            let hot = (len / 4).max(1);
-            for _ in 0..4 + next() % 8 {
-                let idx = (next() as usize) % hot;
-                let v = (next() % 200) as i64 - 100;
-                batch.push(idx, next_tag, v);
-                live.push((idx, next_tag, v));
-                next_tag += 1;
-            }
-            ex.run_delta(&pool, &mut out, &batch);
-
-            let mut expected = vec![0i64; len];
-            for &(idx, _, v) in &live {
-                expected[idx] += v;
-            }
-            prop_assert_eq!(
-                &out, &expected,
-                "segmented-{} round {} (migrated to {} at round {})",
-                bucket_bits, round, all[target % all.len()].label(), switch_round
-            );
         }
     }
 }
