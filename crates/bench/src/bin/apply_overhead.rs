@@ -1,13 +1,14 @@
 //! Per-apply overhead of the block reducers' hot path.
 //!
-//! Measures the cost of one `view.apply(i, v)` for block-private,
-//! block-lock and block-CAS under two access patterns (streaming and
-//! random-permutation scatter), against two baselines measured in the
-//! *same* harness:
+//! Measures the cost of one `view.apply(i, v)` — a shift, one load from
+//! the view's per-block base table, one branch and the combine — for
+//! block-private, block-lock and block-CAS under two access patterns
+//! (streaming and random-permutation scatter), against two baselines
+//! measured in the *same* harness:
 //!
-//! * `apply_uncached` — the legacy path (full bounds assert + status
+//! * `apply_uncached` — the legacy path (full bounds assert + table
 //!   lookup + hardware div/mod on every update); the spread against it
-//!   is the win the hot-path overhaul buys;
+//!   is the win the hot-path layout buys;
 //! * bare `apply` — the fast path without the driver's `CountedView`
 //!   wrapper (telemetry off); the spread against the wrapped loop is the
 //!   *cost of telemetry*, which the acceptance bar requires to stay
@@ -22,8 +23,13 @@
 //! pre-arena epilogue + `finish` pair did), and a same-buffer `memcpy`
 //! as the machine's bandwidth ceiling. A real 4-thread block-private
 //! region over the stream shape contributes its
-//! `RunReport::merge_bandwidth` for cross-checking. The `--check` gate
-//! asserts the fused kernel ≥ 1.5× the seed scalar merge.
+//! `RunReport::merge_bandwidth` for cross-checking.
+//!
+//! The `--check` gates assert the fused kernel ≥ 1.5× the seed scalar
+//! merge, and, on the random pattern, every flavor's fast path faster
+//! than its uncached path: a random scatter touches a different block on
+//! nearly every apply, so this is where a last-block cache would lose to
+//! the plain lookup and the base table must not. Each margin is printed.
 //!
 //! Prints CSV and writes `BENCH_apply_overhead.json` with all numbers
 //! per configuration.
@@ -187,10 +193,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 fn patterns(n: usize) -> Vec<(&'static str, Vec<usize>)> {
     // Streaming scatter: ascending with a ±1 neighbor touch, the
-    // conv-backprop shape the last-block cache is built for.
+    // conv-backprop shape: long runs of applies into one block.
     let stream: Vec<usize> = (1..n - 1).flat_map(|i| [i - 1, i, i + 1]).collect();
-    // Random permutation: every apply switches blocks — worst case for
-    // the cache, isolating the shift/mask vs div/mod difference.
+    // Random permutation: nearly every apply switches blocks, so each
+    // one pays a table load on a cold-ish line; isolates the lookup
+    // plus shift/mask vs the legacy assert plus div/mod.
     let mut perm: Vec<usize> = (0..n).collect();
     let mut state = 0xC0FFEE;
     for i in (1..n).rev() {
@@ -201,7 +208,8 @@ fn patterns(n: usize) -> Vec<(&'static str, Vec<usize>)> {
 }
 
 /// Times `reps` single-threaded regions of `red`, timing only the apply
-/// loop, and returns best ns/apply for the cached and uncached paths.
+/// loop, and returns best ns/apply for the fast (table) and uncached
+/// paths.
 macro_rules! bench_flavor {
     ($ctor:ident, $bs:expr, $n:expr, $idx:expr, $reps:expr) => {{
         let mut out = vec![0.0f64; $n];
@@ -226,7 +234,7 @@ macro_rules! bench_flavor {
             red.finish();
             cached = cached.min(dt);
 
-            // Uncached region (legacy assert + status lookup + div/mod).
+            // Uncached region (legacy assert + table lookup + div/mod).
             let mut view = red.view(0);
             let t0 = Instant::now();
             for &i in $idx {
@@ -353,6 +361,22 @@ fn main() {
     eprintln!("wrote {path}");
 
     if opts.check {
+        let mut failed = Vec::new();
+        for r in rows.iter().filter(|r| r.pattern == "random") {
+            let margin = r.uncached_ns / r.cached_ns;
+            eprintln!(
+                "check {}: random fast path {:.3} ns vs uncached {:.3} ns ({margin:.3}×)",
+                r.strategy, r.cached_ns, r.uncached_ns
+            );
+            if r.cached_ns >= r.uncached_ns {
+                failed.push(r.strategy.clone());
+            }
+        }
+        assert!(
+            failed.is_empty(),
+            "apply acceptance: on the random pattern the fast path must beat \
+             the uncached path for every flavor; failed: {failed:?}"
+        );
         assert!(
             speedup >= 1.5,
             "merge kernel acceptance: fused kernel must be ≥ 1.5× the seed \

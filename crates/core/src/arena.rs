@@ -14,6 +14,10 @@
 //!   region allocates nothing.
 //! * Slabs start at [`MIN_SLAB_BYTES`] and double, so a thread that
 //!   privatizes `k` blocks pays `O(log k)` allocations instead of `k`.
+//!   A block view caps its arena at its block count (it privatizes each
+//!   block at most once), and no slab reserves slots past the cap: a view
+//!   that privatizes all of its 1024 blocks gets 1024 slots, not the 2047
+//!   that doubling alone would carve.
 //! * Freed slabs (a dropped arena — strategy migration, mismatched
 //!   scratch, region teardown) are **recycled through an [`ArenaPool`]**
 //!   instead of returned to the allocator, so the next region's arenas
@@ -124,6 +128,10 @@ pub struct BlockArena<T> {
     next: usize,
     /// Block slots in the newest slab.
     cap: usize,
+    /// Block slots carved across all slabs.
+    carved: usize,
+    /// Most blocks this arena will be asked for (see `BlockArena::capped`).
+    max_blocks: usize,
     /// Total slab bytes currently owned (diagnostic).
     slab_bytes: usize,
     /// Where slabs are drawn from and recycled to.
@@ -163,10 +171,20 @@ impl<T: Element> BlockArena<T> {
             stride,
             next: 0,
             cap: 0,
+            carved: 0,
+            max_blocks: usize::MAX,
             slab_bytes: 0,
             pool,
             _elem: std::marker::PhantomData,
         }
+    }
+
+    /// Sizes slabs for at most `max_blocks` blocks in total: a new slab
+    /// never reserves more slots than remain below the cap. A sizing
+    /// bound, not a limit — an arena asked for more keeps growing.
+    pub(crate) fn capped(mut self, max_blocks: usize) -> Self {
+        self.max_blocks = max_blocks;
+        self
     }
 
     /// Logical elements per block.
@@ -218,17 +236,19 @@ impl<T: Element> BlockArena<T> {
         BlockRef(unsafe { NonNull::new_unchecked(ptr) })
     }
 
-    /// Allocates the next slab: doubling sizes, drawn from the slab pool
-    /// when a matching recycled slab exists.
+    /// Allocates the next slab: doubling sizes up to the slots left under
+    /// the cap, drawn from the slab pool when a matching recycled slab
+    /// exists.
     fn grow(&mut self) {
         let size = std::mem::size_of::<T>().max(1);
         let stride_bytes = self.stride * size;
         let min_blocks = MIN_SLAB_BYTES.div_ceil(stride_bytes).max(1);
-        let blocks = if self.cap == 0 {
+        let doubled = if self.cap == 0 {
             min_blocks
         } else {
             (self.cap * 2).clamp(min_blocks, MAX_SLAB_BLOCKS.max(min_blocks))
         };
+        let blocks = doubled.min(self.max_blocks.saturating_sub(self.carved).max(1));
         let bytes = blocks * stride_bytes;
         let align = SLAB_ALIGN.max(std::mem::align_of::<T>());
         let layout = Layout::from_size_align(bytes, align).expect("slab layout must be valid");
@@ -243,6 +263,7 @@ impl<T: Element> BlockArena<T> {
             pool: self.pool.clone(),
         });
         self.slab_bytes += bytes;
+        self.carved += blocks;
         self.next = 0;
         self.cap = blocks;
     }
@@ -533,6 +554,23 @@ mod tests {
         addrs.sort_unstable();
         addrs.dedup();
         assert_eq!(addrs.len(), 100);
+    }
+
+    #[test]
+    fn capped_arena_reserves_only_allowed_blocks() {
+        // 4 KiB blocks: doubling alone carves 1+2+...+64 = 127 slots for
+        // 65 blocks; capped at 65, the last slab takes only the 2 left.
+        let k = 65;
+        let mut arena = BlockArena::<f64>::new(512).capped(k);
+        let stride_bytes = 512 * std::mem::size_of::<f64>();
+        for _ in 0..k {
+            arena.alloc_identity::<Sum>();
+        }
+        assert_eq!(arena.slab_bytes(), k * stride_bytes);
+        assert!(arena.slabs.len() <= 8, "still O(log k) slabs");
+        // Asking past the cap still works (one block per slab).
+        arena.alloc_identity::<Sum>();
+        assert_eq!(arena.slab_bytes(), (k + 1) * stride_bytes);
     }
 
     #[test]

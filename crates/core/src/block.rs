@@ -29,22 +29,26 @@
 //!   `block-CAS-128`, and [`Reduction::name`] reports the rounded size).
 //!   `i / block_size` and `i % block_size` compile to a shift and a mask
 //!   instead of hardware division.
-//! * **Last-block cache.** The view remembers the last block it touched
-//!   and the base pointer of that block's storage (the original array for
-//!   direct-owned blocks, the private copy otherwise). Streaming scatters
-//!   — conv back-prop, CSR transpose-SpMV, nodal force accumulation — hit
-//!   the same block for many consecutive updates, so the fast path is one
-//!   compare + combine with no status load. Private copies are allocated
-//!   at the full (padded) block size so every in-block offset is valid;
-//!   direct blocks are cached only when they lie wholly inside the array.
+//! * **Per-block base table.** Each view keeps one pointer per block: the
+//!   base of the storage this thread writes that block through this
+//!   region (the original array for a direct-owned block, the private
+//!   copy otherwise), as the C++ `AWBlockReduction` does. A resolved
+//!   block costs one table load, one branch and the combine, whichever
+//!   block was touched last, so a scatter that switches blocks on every
+//!   update (PageRank's push) stays on the fast path. The table doubles
+//!   as the status table: small sentinel values below any real pointer
+//!   mark a block as not yet resolved (null), budget-demoted, or a
+//!   direct-owned trailing partial block; only those take the slow path.
+//!   Private copies are allocated at the full (padded) block size so
+//!   every in-block offset is valid; a direct block enters the table only
+//!   when it lies wholly inside the array.
 //! * **Debug-only index assert.** The per-apply bounds `assert!` became a
-//!   `debug_assert!`; release builds bounds-check at block granularity on
-//!   the cold path (every first touch of a block, and any index whose
-//!   block is not cached). The chunked drivers perform their own up-front
-//!   range checks, so a wild index cannot touch memory outside the
-//!   reduction: the status table lookup still range-panics for blocks past
-//!   the end, and cached blocks only accept offsets inside their (valid)
-//!   storage.
+//!   `debug_assert!`; release builds bounds-check at block granularity:
+//!   the table lookup misses for blocks past the end, and every slow-path
+//!   update (first touch, demoted block, partial trailing block) carries
+//!   the full check. The chunked drivers perform their own up-front range
+//!   checks, so a wild index cannot touch memory outside the reduction:
+//!   table entries only accept offsets inside their (valid) storage.
 //!
 //! Per-thread state that different threads write concurrently (the stash
 //! slots, the CAS ownership words) is cache-line padded to kill false
@@ -52,13 +56,13 @@
 //!
 //! # Region reuse
 //!
-//! [`Reduction::finish`] does not free a view's status/blocks scratch; it
-//! resets it (statuses to unknown, ownership cleared; the fused merge
-//! epilogue already refilled dirty private copies with the identity) and
-//! retains it — arena slabs included — so a reduction driven through many
-//! regions allocates only on its first. For iterative solvers
-//! that rebind the output array every iteration (PageRank's swap of rank
-//! vectors), [`BlockReduction::into_scratch`] /
+//! [`Reduction::finish`] does not free a view's table/blocks scratch; it
+//! resets it (touched table entries back to unknown, ownership cleared;
+//! the fused merge epilogue already refilled dirty private copies with
+//! the identity) and retains it — arena slabs included — so a reduction
+//! driven through many regions allocates only on its first. For
+//! iterative solvers that rebind the output array every iteration
+//! (PageRank's swap of rank vectors), [`BlockReduction::into_scratch`] /
 //! [`BlockReduction::from_scratch`] detach the scratch from the borrow and
 //! reattach it to the next region's array — see also
 //! [`crate::ReusableReducer`] for the strategy-dispatched form.
@@ -89,15 +93,22 @@ use std::sync::{Arc, Mutex};
 
 const UNOWNED: usize = usize::MAX;
 
-/// Block-status values cached per view to keep the hot path branch-cheap.
-const ST_UNKNOWN: u8 = 0;
-const ST_DIRECT: u8 = 1;
-const ST_PRIVATE: u8 = 2;
+// Base-table sentinels. A table entry is either the base of the storage
+// the view writes a block through (never in the first page of the
+// address space) or one of these small values, which send the apply to
+// the slow path. Unknown is null, so a fresh table is all-unknown.
+/// Not yet resolved this region.
+const UNKNOWN: usize = 0;
 /// Demoted by a [`crate::PlanBudget`]: updates combine into the output in
 /// place under a striped lock — zero scratch, paid in serialization. (The
 /// block reducers' `Element` bound cannot assume hardware atomics; the
 /// pure-atomic path is the `Atomic` strategy.)
-const ST_ATOMIC: u8 = 3;
+const DEMOTED: usize = 1;
+/// Direct-owned trailing block shorter than the block size: its masked
+/// offsets would run past the array, so every update is checked per index.
+const PARTIAL_DIRECT: usize = 2;
+/// Entries above this are storage bases.
+const LAST_SENTINEL: usize = PARTIAL_DIRECT;
 
 /// Stripe count for demoted-block in-place updates. A power of two so the
 /// `block % STRIPES` in the apply path is a mask.
@@ -239,9 +250,9 @@ impl Ownership for CasOwnership {
     }
 }
 
-/// A view's retained bookkeeping: one status byte and one optional private
-/// copy per block, plus the region's footprint lists. Lives in the
-/// reduction's slots between regions.
+/// A view's retained bookkeeping: one base-table entry and one optional
+/// private copy per block, plus the region's footprint lists. Lives in
+/// the reduction's slots between regions.
 ///
 /// The `touched`/`dirty` lists are the sparse-epilogue index: `touched`
 /// records every block the thread resolved this region (whatever the
@@ -250,7 +261,12 @@ impl Ownership for CasOwnership {
 /// [`RegionPlan`] can be extracted from the last region's footprint — and
 /// cleared when the next region's view starts.
 struct ViewScratch<T> {
-    status: Vec<u8>,
+    /// Per-block base table (see [`BlockView`]). Table invariant: every
+    /// entry above [`LAST_SENTINEL`] points to storage covering offsets
+    /// `0..=mask` of its block that belongs to this thread for the
+    /// region. Only `touched` blocks hold non-null entries, and
+    /// [`Reduction::finish`] nulls them again.
+    table: Vec<*mut T>,
     /// Per-block handle into `arena`'s slabs (`None` = never privatized).
     blocks: Vec<Option<BlockRef<T>>>,
     /// The aligned slab storage behind `blocks`; owns the allocations, so
@@ -258,6 +274,31 @@ struct ViewScratch<T> {
     arena: BlockArena<T>,
     touched: Vec<u32>,
     dirty: Vec<u32>,
+}
+
+// SAFETY: the table's pointers target the reduction's output (borrowed
+// for the reduction's lifetime) or this scratch's own arena slabs; the
+// region protocol on the module serializes every access to them.
+unsafe impl<T: Send> Send for ViewScratch<T> {}
+
+impl<T: Element> ViewScratch<T> {
+    /// Bookkeeping bytes per block: one table entry and one copy handle.
+    const BYTES_PER_BLOCK: usize =
+        std::mem::size_of::<*mut T>() + std::mem::size_of::<Option<BlockRef<T>>>();
+
+    /// Nulls the entries of the last region's touched blocks.
+    fn reset_table(&mut self) {
+        for &b in &self.touched {
+            self.table[b as usize] = std::ptr::null_mut();
+        }
+    }
+
+    /// Block `b`'s private copy if it received this region's
+    /// contributions — its table entry is the copy itself. An untouched
+    /// retained copy stays identity and needs no merge.
+    fn live_copy(&self, b: usize) -> Option<BlockRef<T>> {
+        self.blocks[b].filter(|blk| std::ptr::eq(self.table[b], blk.as_ptr()))
+    }
 }
 
 /// Detached block-reducer scratch (ownership table + per-thread view
@@ -501,8 +542,16 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
     pub fn into_scratch(self) -> BlockScratch<T, W> {
         BlockScratch {
             per_thread: (0..self.nthreads)
-                // SAFETY: `self` is owned; no region is active.
-                .map(|t| unsafe { self.slots.take(t) })
+                .map(|t| {
+                    // SAFETY: `self` is owned; no region is active.
+                    let mut s = unsafe { self.slots.take(t) };
+                    // A region that unwound skipped `finish`: no entry may
+                    // outlive the array it points into.
+                    if let Some(s) = &mut s {
+                        s.reset_table();
+                    }
+                    s
+                })
                 .collect(),
             owners: self.owners,
             block_size: 1usize << self.shift,
@@ -535,7 +584,7 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
                     // footprint — `memory_overhead` stays comparable to a
                     // fresh region's.
                     red.mem
-                        .add(s.status.len() * (1 + std::mem::size_of::<Option<BlockRef<T>>>()));
+                        .add(s.table.len() * ViewScratch::<T>::BYTES_PER_BLOCK);
                     red.mem.add(
                         s.blocks.iter().flatten().count()
                             * red.block_size()
@@ -640,28 +689,33 @@ impl<'a, T: Element, O: ReduceOp<T>> BlockCasReduction<'a, T, O> {
 
 /// Per-thread view for all block flavors.
 ///
-/// Split in two on purpose: the last-block cache fields stay direct,
-/// everything else lives in an inner core struct, and the slow path
-/// borrows **only** `self.core` — so an inlined kernel loop can keep the
-/// cache in registers. Apply *counting* does not live here at all: it is done
-/// by the driver's [`crate::CountedView`] wrapper, whose counter is
-/// register-resident, and credited via
+/// `apply(i, v)` is `i >> shift`, one load from the per-block base table,
+/// one branch and the combine; only an unresolved entry (a sentinel) takes
+/// the slow path. Split in two on purpose: the table and the shift/mask
+/// stay direct, everything else lives in an inner core struct, and the
+/// slow path borrows **only** `self.core` plus the table's contents, never
+/// the hot fields themselves. Apply *counting* does not live here at all:
+/// it is done by the driver's [`crate::CountedView`] wrapper, whose
+/// counter is register-resident, and credited via
 /// [`Reduction::record_applies`] — a view-resident counter is a
 /// loop-carried load-add-store chain whose store-forwarding latency
 /// rivals the whole fast path (the `apply_overhead` microbench measures
 /// exactly this).
 pub struct BlockView<T, O, W> {
-    /// Last-touched block, or `usize::MAX`. Cache invariant: when set,
-    /// `last_base` points to storage holding *all* offsets `0..=mask` of
-    /// that block — the original array for a wholly in-bounds direct
-    /// block, or a full-block-size private copy.
-    last_block: usize,
-    last_base: *mut T,
+    /// One entry per block: a storage base or a sentinel (see
+    /// [`ViewScratch::table`] for the invariant). Retained across
+    /// regions with the rest of the scratch; its length never changes
+    /// during a region.
+    table: Vec<*mut T>,
+    /// `log2(block_size)`.
+    shift: u32,
+    /// `block_size - 1`.
+    mask: usize,
     core: ViewCore<T, O, W>,
 }
 
-/// The part of a [`BlockView`] whose address escapes into the outlined
-/// slow path; see the view's docs for why the hot fields stay outside.
+/// The part of a [`BlockView`] whose address escapes into the slow path;
+/// see the view's docs for why the hot fields stay outside.
 struct ViewCore<T, O, W> {
     out: SharedSlice<T>,
     /// Borrow of the parent reduction's ownership table; valid for the
@@ -672,7 +726,6 @@ struct ViewCore<T, O, W> {
     /// valid for the region like `owners`.
     stripes: *const CachePadded<Mutex<()>>,
     nstripes: usize,
-    status: Vec<u8>,
     blocks: Vec<Option<BlockRef<T>>>,
     /// Aligned slab storage behind `blocks` (see [`ViewScratch`]).
     arena: BlockArena<T>,
@@ -692,69 +745,38 @@ struct ViewCore<T, O, W> {
     planned: bool,
     /// This view touched a block outside its plan.
     deviated: bool,
-    /// Cold-path event counters (touched only on block switches).
+    /// Cold-path event counters (touched only on first touches).
     counters: Counters,
     _op: PhantomData<O>,
 }
 
 impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
-    /// Block switch / first touch: resolve the block's status (claiming
-    /// ownership or privatizing on first touch), service the update, and
-    /// return the new last-block cache entry for the caller to install.
+    /// Any update whose table entry is not a storage base: first touch,
+    /// a budget-demoted block, a direct-owned partial trailing block, or a
+    /// block past the array.
     ///
-    /// This is the release-mode bounds check: `status[b]` range-panics for
-    /// any block past the array, and in-bounds blocks validate `i` at
-    /// block granularity below.
+    /// This is the release-mode bounds check: the full index assert runs
+    /// here, so `table[b]` never sees a block past the array, and the
+    /// fast path only accepts offsets inside a block's (valid) storage.
     ///
-    /// Deliberately NOT `#[cold]`/`#[inline(never)]`: low-locality
-    /// scatters (random permutations) take this path on nearly every
-    /// apply, and both a size-optimized body and a forced call boundary
-    /// measurably regress them (the `apply_overhead` microbench covers
-    /// both patterns).
-    fn apply_slow(&mut self, i: usize, v: T) -> (usize, *mut T) {
+    /// Deliberately NOT `#[cold]`/`#[inline(never)]`: scatters that
+    /// touch many blocks take this path once per block and region, and
+    /// both a size-optimized body and a forced call boundary have
+    /// measurably regressed them (the `apply_overhead` microbench covers
+    /// a random-permutation pattern).
+    fn apply_slow(&mut self, table: &mut [*mut T], i: usize, v: T) {
         assert!(
             i < self.len,
             "reduction index {i} out of bounds (len {})",
             self.len
         );
-        let b = i >> self.shift;
-        let mut st = self.status[b];
-        if st == ST_UNKNOWN {
-            st = self.resolve(b);
-        }
-        if st == ST_ATOMIC {
-            self.combine_demoted(b, i, v);
-            return (usize::MAX, std::ptr::null_mut());
-        }
-        if st == ST_DIRECT {
-            // SAFETY: this thread exclusively owns block `b` of `out`
-            // during the loop phase (ownership protocol), and `i < len`.
-            unsafe { self.out.combine::<O>(i, v) };
-            let lo = b << self.shift;
-            // Cache only blocks that lie wholly inside the array, so every
-            // masked offset through `last_base` stays in bounds.
-            if lo + self.mask < self.len {
-                (b, unsafe { self.out.as_mut_ptr().add(lo) })
-            } else {
-                (usize::MAX, std::ptr::null_mut())
-            }
-        } else {
-            // ST_PRIVATE implies `resolve` allocated the (full-size) copy.
-            let blk = self.blocks[b].unwrap();
-            // SAFETY: the arena block covers offsets `0..=mask` (full
-            // power-of-two stride) and is written only by this thread
-            // during the loop phase.
-            unsafe {
-                let slot = blk.as_ptr().add(i & self.mask);
-                *slot = O::combine(*slot, v);
-            }
-            (b, blk.as_ptr())
-        }
+        self.apply_entry(table, i >> self.shift, i, i & self.mask, v);
     }
 
-    /// The pre-cache `apply` path: full bounds assert, status lookup and
-    /// div/mod on every update, no last-block cache.
-    fn apply_uncached(&mut self, i: usize, v: T) {
+    /// The legacy `apply` path, kept as the `apply_overhead` baseline:
+    /// full bounds assert, table lookup and hardware div/mod on every
+    /// update.
+    fn apply_uncached(&mut self, table: &mut [*mut T], i: usize, v: T) {
         assert!(
             i < self.len,
             "reduction index {i} out of bounds (len {})",
@@ -764,35 +786,69 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
         // of two, so this costs a hardware divide — exactly what the
         // legacy generic-block-size path paid.
         let bs = self.mask + 1;
-        let b = i / bs;
-        let mut st = self.status[b];
-        if st == ST_UNKNOWN {
-            st = self.resolve(b);
+        self.apply_entry(table, i / bs, i, i % bs, v);
+    }
+
+    /// Services `out[i] ⊕= v` through block `b`'s table entry, resolving
+    /// the block first if this region has not touched it; `off` is `i`'s
+    /// offset in the block. The caller has checked `i < len`.
+    #[inline(always)]
+    fn apply_entry(&mut self, table: &mut [*mut T], b: usize, i: usize, off: usize, v: T) {
+        let mut e = table[b];
+        if e as usize == UNKNOWN {
+            e = self.resolve(table, b);
         }
-        if st == ST_ATOMIC {
-            self.combine_demoted(b, i, v);
-            return;
+        match e as usize {
+            DEMOTED => self.combine_demoted(b, i, v),
+            // SAFETY: this thread exclusively owns block `b` of `out`
+            // during the loop phase (ownership protocol), and `i < len`.
+            PARTIAL_DIRECT => unsafe { self.out.combine::<O>(i, v) },
+            // SAFETY: table invariant — a non-sentinel entry covers
+            // offsets `0..=mask` of block `b` and belongs to this thread
+            // for the region; `off <= mask`.
+            _ => unsafe { combine_at::<T, O>(e.add(off), i, v) },
         }
-        if st == ST_DIRECT {
-            // SAFETY: this thread owns block `b` directly (ownership
-            // protocol) and `i < len`.
-            unsafe { self.out.combine::<O>(i, v) };
+    }
+
+    /// Block `b`'s table entry for a direct-owned block: the block's base
+    /// in `out` when it lies wholly inside the array, so every masked
+    /// offset stays in bounds; otherwise [`PARTIAL_DIRECT`].
+    fn direct_entry(&self, b: usize) -> *mut T {
+        let lo = b << self.shift;
+        if lo + self.mask < self.len {
+            // SAFETY: `lo + mask < len`, so the offset is inside `out`.
+            unsafe { self.out.as_mut_ptr().add(lo) }
         } else {
-            let blk = self.blocks[b].unwrap();
-            // SAFETY: full-stride private copy, this thread's exclusively.
-            unsafe {
-                let slot = blk.as_ptr().add(i % bs);
-                *slot = O::combine(*slot, v);
+            PARTIAL_DIRECT as *mut T
+        }
+    }
+
+    /// Block `b`'s private copy: the one retained from an earlier region
+    /// (already identity-filled by the fused merge epilogue), or a fresh
+    /// one carved out of the thread's aligned arena at the full
+    /// (power-of-two) length even for the trailing partial block — that
+    /// keeps the table invariant and costs at most one block of slack.
+    /// The arena refills the slot in place (no construct-then-copy) and
+    /// only allocates when a slab fills, so privatizing `k` blocks costs
+    /// `O(log k)` heap allocations, not `k`.
+    fn private_copy(&mut self, b: usize) -> BlockRef<T> {
+        match self.blocks[b] {
+            Some(blk) => blk,
+            None => {
+                let blk = self.arena.alloc_identity::<O>();
+                self.blocks[b] = Some(blk);
+                self.allocated_bytes += (self.mask + 1) * std::mem::size_of::<T>();
+                blk
             }
         }
     }
 
     /// Buffered combine into a budget-demoted block: the update is
     /// appended to the block's stripe buffer; a full buffer drains into
-    /// the output under one stripe-lock acquisition. Never cached (the
-    /// last-block fast path writes unserialized).
+    /// the output under one stripe-lock acquisition. Never a storage
+    /// entry in the table (the fast path writes unserialized).
     fn combine_demoted(&mut self, b: usize, i: usize, v: T) {
-        debug_assert!(self.nstripes > 0, "ST_ATOMIC without stripe locks");
+        debug_assert!(self.nstripes > 0, "demoted block without stripe locks");
         if self.demoted_buf.is_empty() {
             self.demoted_buf = (0..self.nstripes)
                 .map(|_| Vec::with_capacity(DEMOTED_BATCH))
@@ -845,7 +901,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
     /// deviation flag so the epilogue falls back to the dirty lists and
     /// the executor rebuilds the plan.
     #[cold]
-    fn resolve(&mut self, b: usize) -> u8 {
+    fn resolve(&mut self, table: &mut [*mut T], b: usize) -> *mut T {
         self.counters.block_first_touches += 1;
         ompsim::verify::perturb_idx(ompsim::verify::HookPoint::OwnershipClaim, b as u64);
         let claim = if self.planned {
@@ -856,8 +912,8 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
             // contract).
             unsafe { &*self.owners }.try_claim(b, self.tid)
         };
-        let st = match claim {
-            Claim::Won | Claim::Retained => ST_DIRECT,
+        let e = match claim {
+            Claim::Won | Claim::Retained => self.direct_entry(b),
             Claim::Lost => {
                 if W::DIRECT && !self.planned {
                     // Lost to another thread — contention. The
@@ -866,38 +922,47 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
                     self.counters.ownership_conflicts += 1;
                 }
                 self.counters.fallback_privatizations += 1;
-                // A copy retained from an earlier region is already
-                // identity-filled by the fused merge epilogue; otherwise
-                // carve one out of the thread's aligned arena at the full
-                // (power-of-two) length even for the trailing partial
-                // block — that keeps the last-block cache's offset invariant
-                // and costs at most one block of slack. The arena refills
-                // the slot in place (no construct-then-copy) and only
-                // allocates when a slab fills, so privatizing `k` blocks
-                // costs `O(log k)` heap allocations, not `k`.
-                if self.blocks[b].is_none() {
-                    let n = self.mask + 1;
-                    self.blocks[b] = Some(self.arena.alloc_identity::<O>());
-                    self.allocated_bytes += n * std::mem::size_of::<T>();
-                }
                 self.dirty.push(b as u32);
-                ST_PRIVATE
+                self.private_copy(b).as_ptr()
             }
         };
         self.touched.push(b as u32);
-        self.status[b] = st;
-        st
+        table[b] = e;
+        e
+    }
+}
+
+/// `*p = O::combine(*p, v)` for logical index `i`. Under `verify` the
+/// read-modify-write is split around a `SharedWrite` perturbation point
+/// (see `SharedSlice::combine`): the target may be the shared output
+/// array.
+///
+/// # Safety
+/// `p` is valid for reads and writes, and no other thread accesses it
+/// during the loop phase.
+#[inline(always)]
+unsafe fn combine_at<T: Element, O: ReduceOp<T>>(p: *mut T, i: usize, v: T) {
+    #[cfg(feature = "verify")]
+    {
+        let cur = *p;
+        ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, i as u64);
+        *p = O::combine(cur, v);
+    }
+    #[cfg(not(feature = "verify"))]
+    {
+        let _ = i;
+        *p = O::combine(*p, v);
     }
 }
 
 impl<T: Element, O: ReduceOp<T>, W: Ownership> BlockView<T, O, W> {
-    /// The legacy pre-cache `apply` path. Kept (hidden) as the in-harness
-    /// baseline for the `apply_overhead` microbenchmark so the fast
-    /// path's gain is measured against the real legacy cost, not a
-    /// reconstruction. Not part of the public API, and left uncounted.
+    /// The legacy `apply` path. Kept (hidden) as the in-harness baseline
+    /// for the `apply_overhead` microbenchmark so the fast path's gain is
+    /// measured against the real legacy cost, not a reconstruction. Not
+    /// part of the public API, and left uncounted.
     #[doc(hidden)]
     pub fn apply_uncached(&mut self, i: usize, v: T) {
-        self.core.apply_uncached(i, v);
+        self.core.apply_uncached(&mut self.table, i, v);
     }
 }
 
@@ -905,36 +970,20 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
     #[inline(always)]
     fn apply(&mut self, i: usize, v: T) {
         debug_assert!(i < self.core.len, "reduction index {i} out of bounds");
-        let b = i >> self.core.shift;
-        if b == self.last_block {
-            // SAFETY: the cache invariant (see `last_block`) guarantees
-            // `last_base` covers every offset `0..=mask`, and this thread
-            // has exclusive write access to that storage for the region.
-            unsafe {
-                let p = self.last_base.add(i & self.core.mask);
-                #[cfg(feature = "verify")]
-                {
-                    // Widened race window (see `SharedSlice::combine`):
-                    // the cached target may be the shared output array.
-                    let cur = *p;
-                    ompsim::verify::perturb_idx(ompsim::verify::HookPoint::SharedWrite, i as u64);
-                    *p = O::combine(cur, v);
-                }
-                #[cfg(not(feature = "verify"))]
-                {
-                    *p = O::combine(*p, v);
-                }
-            }
-        } else {
-            (self.last_block, self.last_base) = self.core.apply_slow(i, v);
+        match self.table.get(i >> self.shift) {
+            // SAFETY: table invariant — a non-sentinel entry covers
+            // offsets `0..=mask` of its block and belongs to this thread
+            // for the region.
+            Some(&e) if e as usize > LAST_SENTINEL => unsafe {
+                combine_at::<T, O>(e.add(i & self.mask), i, v)
+            },
+            _ => self.core.apply_slow(&mut self.table, i, v),
         }
     }
 
     /// Batched form: split the run at block boundaries, resolve each
-    /// block's base pointer once (via the regular slow path, which also
-    /// installs the last-block cache), and stream the in-block stretch
-    /// through the merge kernel instead of re-deciding ownership per
-    /// element.
+    /// block's table entry once, and stream the in-block stretch through
+    /// the merge kernel instead of re-deciding ownership per element.
     ///
     /// Compiled out under `verify`: the per-element default preserves the
     /// exact `SharedWrite` perturbation-hook sequence of the seed.
@@ -951,38 +1000,29 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
         let mut k = 0;
         while k < vals.len() {
             let i = start + k;
-            let b = i >> self.core.shift;
+            let b = i >> self.shift;
             // Elements of this run landing in block `b`.
-            let run_len = (((b + 1) << self.core.shift).min(start + vals.len())) - i;
-            if b == self.last_block {
-                // SAFETY: cache invariant — `last_base` covers offsets
-                // `0..=mask`, exclusively writable by this thread; the
+            let run_len = (((b + 1) << self.shift).min(start + vals.len())) - i;
+            let mut e = self.table[b];
+            if e as usize == UNKNOWN {
+                e = self.core.resolve(&mut self.table, b);
+            }
+            if e as usize > LAST_SENTINEL {
+                // SAFETY: table invariant — `e` covers offsets `0..=mask`
+                // of block `b`, exclusively writable by this thread; the
                 // stretch stays inside block `b` by construction.
                 unsafe {
                     kernels::merge_into::<T, O>(
-                        self.last_base.add(i & self.core.mask),
+                        e.add(i & self.mask),
                         vals.as_ptr().add(k),
                         run_len,
                     );
                 }
             } else {
-                (self.last_block, self.last_base) = self.core.apply_slow(i, vals[k]);
-                if self.last_block == b {
-                    // SAFETY: as above; the remaining `run_len - 1`
-                    // elements stay inside the freshly cached block.
-                    unsafe {
-                        kernels::merge_into::<T, O>(
-                            self.last_base.add((i + 1) & self.core.mask),
-                            vals.as_ptr().add(k + 1),
-                            run_len - 1,
-                        );
-                    }
-                } else {
-                    // Uncacheable (partial trailing direct block): fall
-                    // back to element applies for this stretch.
-                    for (off, &v) in vals.iter().enumerate().take(k + run_len).skip(k + 1) {
-                        self.apply(start + off, v);
-                    }
+                // Demoted or partial trailing direct block: element
+                // applies through the slow path.
+                for (off, &v) in vals[k..k + run_len].iter().enumerate() {
+                    self.core.apply_slow(&mut self.table, i + off, v);
                 }
             }
             k += run_len;
@@ -995,36 +1035,43 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
 
     fn view(&self, tid: usize) -> Self::View {
         // SAFETY: slot `tid` is touched only by thread `tid` pre-barrier.
-        let retained = unsafe { self.slots.take(tid) };
-        let (status, blocks, arena, mut touched, mut dirty) = match retained {
+        let scratch = match unsafe { self.slots.take(tid) } {
             // Scratch retained by `finish` from an earlier region: already
-            // reset (statuses unknown, private copies identity-filled by the
-            // merge epilogue). The footprint lists still hold the *previous*
-            // region's record (kept for plan extraction); they restart
-            // empty here.
-            Some(s) => (s.status, s.blocks, s.arena, s.touched, s.dirty),
+            // reset (table entries unknown, private copies identity-filled
+            // by the merge epilogue). The footprint lists still hold the
+            // *previous* region's record (kept for plan extraction); they
+            // restart empty here.
+            Some(s) => s,
             None => {
                 // Only bookkeeping is allocated here (the paper's cheap
-                // `init`): one status byte and one empty option per block.
-                // The arena itself starts slab-less; its first slab is
-                // carved on the first fallback privatization.
+                // `init`): one null table entry and one empty option per
+                // block. The arena itself starts slab-less; its first slab
+                // is carved on the first fallback privatization.
                 self.mem
-                    .add(self.nblocks * (1 + std::mem::size_of::<Option<BlockRef<T>>>()));
+                    .add(self.nblocks * ViewScratch::<T>::BYTES_PER_BLOCK);
                 // First-touch placement: on a sharded topology the fresh
                 // arena draws slabs from the thread's node pool.
                 let arena = match self.node_pools.get(self.topo.node_of(tid)) {
                     Some(pool) => BlockArena::with_pool(self.mask + 1, pool.clone()),
                     None => BlockArena::new(self.mask + 1),
                 };
-                (
-                    vec![ST_UNKNOWN; self.nblocks],
-                    (0..self.nblocks).map(|_| None).collect(),
-                    arena,
-                    Vec::new(),
-                    Vec::new(),
-                )
+                ViewScratch {
+                    table: vec![std::ptr::null_mut(); self.nblocks],
+                    blocks: (0..self.nblocks).map(|_| None).collect(),
+                    // A view privatizes each block at most once.
+                    arena: arena.capped(self.nblocks),
+                    touched: Vec::new(),
+                    dirty: Vec::new(),
+                }
             }
         };
+        let ViewScratch {
+            mut table,
+            blocks,
+            arena,
+            mut touched,
+            mut dirty,
+        } = scratch;
         touched.clear();
         dirty.clear();
         let mut core = ViewCore {
@@ -1032,7 +1079,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
             owners: &self.owners,
             stripes: self.stripes.as_ptr(),
             nstripes: self.stripes.len(),
-            status,
             blocks,
             arena,
             shift: self.shift,
@@ -1048,37 +1094,33 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
             counters: Counters::default(),
             _op: PhantomData,
         };
-        // Replay: pre-resolve the plan's blocks so the loop phase never
+        // Replay: fill the table from the plan so the loop phase never
         // claims ownership — exclusive blocks write straight into `out`,
-        // shared blocks go to (pre-allocated) private copies. Blocks the
-        // plan lists but the region never touches stay identity/unwritten
-        // and merge as no-ops.
+        // shared blocks go to (pre-allocated) private copies, demoted
+        // blocks stay on the slow path. Blocks the plan lists but the
+        // region never touches stay identity/unwritten and merge as
+        // no-ops.
         if let Some(plan) = self.plan.as_deref() {
             if let Some(tb) = plan.thread_blocks(tid) {
                 for &b in &tb.exclusive {
-                    core.status[b as usize] = ST_DIRECT;
+                    table[b as usize] = core.direct_entry(b as usize);
                     core.touched.push(b);
                 }
                 for &b in &tb.shared {
-                    let bi = b as usize;
-                    core.status[bi] = ST_PRIVATE;
-                    if core.blocks[bi].is_none() {
-                        let n = core.mask + 1;
-                        core.blocks[bi] = Some(core.arena.alloc_identity::<O>());
-                        core.allocated_bytes += n * std::mem::size_of::<T>();
-                    }
+                    table[b as usize] = core.private_copy(b as usize).as_ptr();
                     core.touched.push(b);
                     core.dirty.push(b);
                 }
                 for &b in &tb.atomic {
-                    core.status[b as usize] = ST_ATOMIC;
+                    table[b as usize] = DEMOTED as *mut T;
                     core.touched.push(b);
                 }
             }
         }
         BlockView {
-            last_block: usize::MAX,
-            last_base: std::ptr::null_mut(),
+            table,
+            shift: self.shift,
+            mask: self.mask,
             core,
         }
     }
@@ -1099,7 +1141,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
             self.slots.put(
                 tid,
                 ViewScratch {
-                    status: view.core.status,
+                    table: view.table,
                     blocks: view.core.blocks,
                     arena: view.core.arena,
                     touched: view.core.touched,
@@ -1134,12 +1176,11 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                     let Some(scratch) = (unsafe { self.slots.get(t) }) else {
                         continue;
                     };
-                    // Status (reset only after the epilogue) identifies the
-                    // threads holding a live copy this region; is_some()
-                    // would also sweep identity copies retained from
-                    // earlier regions.
-                    if scratch.status[b] == ST_PRIVATE {
-                        let blk = scratch.blocks[b].unwrap();
+                    // The table (reset only after the epilogue) identifies
+                    // the threads holding a live copy this region; the
+                    // copy handle alone would also sweep identity copies
+                    // retained from earlier regions.
+                    if let Some(blk) = scratch.live_copy(b) {
                         // SAFETY: block `b` is merged only by this thread
                         // (plan schedule), nothing writes `out`
                         // post-barrier, and the private copy belongs to a
@@ -1214,8 +1255,8 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         }
     }
 
-    /// Resets for the next region **without freeing**: statuses of touched
-    /// blocks go back to unknown and ownership is cleared unless a plan
+    /// Resets for the next region **without freeing**: table entries of
+    /// touched blocks go back to unknown and ownership is cleared unless a plan
     /// made it moot. Dirty private copies were already refilled with the
     /// identity by the fused merge epilogue — one streaming pass instead
     /// of a merge pass here plus a refill pass there — and untouched
@@ -1227,9 +1268,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         for t in 0..self.nthreads {
             // SAFETY: single-threaded after the region.
             if let Some(mut s) = unsafe { self.slots.take(t) } {
-                for &b in &s.touched {
-                    s.status[b as usize] = ST_UNKNOWN;
-                }
+                s.reset_table();
                 unsafe { self.slots.put(t, s) };
             }
         }
@@ -1334,8 +1373,8 @@ mod tests {
 
     #[test]
     fn last_partial_block_direct_owned() {
-        // Direct ownership of a trailing short block must stay uncached
-        // (cache invariant) yet still apply correctly.
+        // Direct ownership of a trailing short block must stay out of
+        // the base table (table invariant) yet still apply correctly.
         let pool = ThreadPool::new(2);
         let n = 100; // blocks of 64 -> block 1 covers 64..100 only
         let mut out = vec![0i64; n];
@@ -1345,6 +1384,34 @@ mod tests {
         });
         drop(red);
         assert!(out.iter().all(|&x| x == 7));
+    }
+
+    /// Applies index 99, then 120, through `red` (len 100, block 64) on a
+    /// one-thread pool; returns whether the region panicked.
+    fn padding_apply_panics<R: Reduction<i64>>(red: &R) -> bool {
+        let pool = ThreadPool::new(1);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reduce(&pool, red, 0..1, Schedule::default(), |v, _| {
+                v.apply(99, 1);
+                v.apply(120, 1);
+            });
+        }))
+        .is_err()
+    }
+
+    #[test]
+    fn padding_of_direct_partial_block_panics() {
+        // Index 99 makes the thread the direct owner of block 1, which
+        // covers 64..100 of a 128-element stride; 120 lies in its
+        // padding, past the array. Debug builds catch it in the fast
+        // path's `debug_assert!`; this test has teeth under `--release`,
+        // where only the block-granular checks guard `out`.
+        let mut out = vec![0i64; 100];
+        let red = BlockLockReduction::<i64, Sum>::new(&mut out, 1, 64);
+        assert!(padding_apply_panics(&red), "block-lock accepted index 120");
+        let mut out = vec![0i64; 100];
+        let red = BlockCasReduction::<i64, Sum>::new(&mut out, 1, 64);
+        assert!(padding_apply_panics(&red), "block-CAS accepted index 120");
     }
 
     #[test]
@@ -1473,6 +1540,37 @@ mod tests {
 
         assert!(a.iter().all(|&x| x == 1));
         assert!(b.iter().all(|&x| x == 2));
+    }
+
+    #[test]
+    fn scratch_of_unwound_region_reattaches_cleanly() {
+        // Thread 0 panics mid-loop; thread 1 has already claimed block 3
+        // of `a` and stashed its view before the barrier aborts, so
+        // `finish` never nulls its table entry. Detaching must, or the
+        // next region over `b` would write block 3 into `a`.
+        let pool = ThreadPool::new(2);
+        let mut a = vec![0i64; 256];
+        let mut b = vec![0i64; 256];
+        let red = BlockCasReduction::<i64, Sum>::new(&mut a, 2, 64);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reduce(&pool, &red, 0..2, Schedule::default(), |v, i| {
+                assert!(i != 0, "planted failure");
+                v.apply(200, 1);
+            });
+        }));
+        assert!(r.is_err());
+        let scratch = red.into_scratch();
+
+        let red = BlockCasReduction::<i64, Sum>::from_scratch(&mut b, 2, 64, scratch);
+        reduce(&pool, &red, 0..256, Schedule::default(), |v, i| {
+            v.apply(i, 1);
+        });
+        drop(red);
+
+        assert!(b.iter().all(|&x| x == 1));
+        for (i, &x) in a.iter().enumerate() {
+            assert_eq!(x, i64::from(i == 200), "a[{i}]");
+        }
     }
 
     #[test]

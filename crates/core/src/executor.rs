@@ -161,7 +161,7 @@ enum RetainedScratch<T> {
 /// [`reduce_strategy`](crate::reduce_strategy) builds a throwaway executor
 /// per call; keep one alive across regions to get reuse: after each
 /// [`run`](RegionExecutor::run) the block reducers' scratch (per-thread
-/// status tables, block options, ownership table) is detached and
+/// base tables, block options, ownership table) is detached and
 /// re-attached to the next region's array, so iterative solvers whose
 /// *output array changes between iterations* (PageRank swapping rank
 /// vectors, SSSP relaxation rounds, LULESH force sweeps) allocate only on

@@ -176,7 +176,7 @@ impl RegionPlan {
                     }
                 }
                 // Sorted lists give the replay's pre-seeding pass a
-                // forward-only sweep over the status table.
+                // forward-only sweep over the base table.
                 tb.exclusive.sort_unstable();
                 tb.shared.sort_unstable();
                 tb

@@ -23,12 +23,15 @@ pub trait ReducerView<T: Element> {
     ///
     /// # Panics
     /// May panic (or debug-assert, strategy-dependent) when `i` is out of
-    /// bounds of the wrapped array. The block strategies check on the
-    /// *cold* path only in release builds — every first touch of a block
-    /// (and any index outside the last-touched block) carries the full
-    /// check, while updates streaming within one block are validated by a
-    /// `debug_assert!`. A wild index can therefore produce garbage in a
-    /// private block copy but never touches memory outside the reduction.
+    /// bounds of the wrapped array. The block strategies check at block
+    /// granularity in release builds: an index in a block past the array
+    /// misses the view's base table, and every update the table does not
+    /// resolve (a block's first touch in the region, a budget-demoted
+    /// block, a direct-owned partial trailing block) carries the full
+    /// check, while updates into a resolved block are validated by a
+    /// `debug_assert!`. A wild index can therefore produce garbage in the
+    /// padding of a private block copy but never touches memory outside
+    /// the reduction.
     fn apply(&mut self, i: usize, v: T);
 
     /// Accumulate a contiguous *run* of contributions:

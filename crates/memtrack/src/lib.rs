@@ -149,9 +149,18 @@ mod tests {
     // NOTE: these tests do not install the allocator (a test harness cannot),
     // so they only exercise the counter plumbing via the record hooks.
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The counters are process-wide: each test holds this lock, so the
+    /// harness's parallel threads cannot move them mid-assertion.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn counters_track_alloc_dealloc() {
+        let _serial = serial();
         let base = current_bytes();
         CountingAlloc::record_alloc(1000);
         assert_eq!(current_bytes(), base + 1000);
@@ -162,6 +171,7 @@ mod tests {
 
     #[test]
     fn reset_peak_rebases() {
+        let _serial = serial();
         CountingAlloc::record_alloc(5000);
         CountingAlloc::record_dealloc(5000);
         reset_peak();
@@ -170,6 +180,7 @@ mod tests {
 
     #[test]
     fn phase_guard_measures_rise() {
+        let _serial = serial();
         let g = PhaseGuard::begin();
         CountingAlloc::record_alloc(4096);
         CountingAlloc::record_dealloc(4096);

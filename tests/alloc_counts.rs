@@ -93,7 +93,7 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
     ] {
         let mut reducer = ReusableReducer::<f64, Sum>::new(strategy);
 
-        // Warm-up: the first regions materialize status tables and private
+        // Warm-up: the first regions materialize base tables and private
         // block copies; `finish` retains them for the next region.
         run_regions_reused(
             &pool,
@@ -123,7 +123,7 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
         let warm = memtrack::total_allocations() - before;
 
         // Fresh-reducer baseline over the same regions: every region pays
-        // for status tables, slot vectors and private block copies anew.
+        // for base tables, slot vectors and private block copies anew.
         let before = memtrack::total_allocations();
         for _ in 0..regions {
             next.iter_mut().for_each(|x| *x = 0.0);
