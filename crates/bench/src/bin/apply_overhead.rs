@@ -9,12 +9,19 @@
 //! * `apply_uncached` — the legacy path (full bounds assert + table
 //!   lookup + hardware div/mod on every update); the spread against it
 //!   is the win the hot-path layout buys;
-//! * bare `apply` — the fast path without the driver's `CountedView`
-//!   wrapper (telemetry off); the spread against the wrapped loop is the
-//!   *cost of telemetry*, which the acceptance bar requires to stay
-//!   under 5% on the streaming pattern. The wrapper's counter lives in a
-//!   register (its address never escapes the loop), so the expected cost
-//!   is one add per apply.
+//! * bare `apply` — the fast path without the `CountedView` wrapper
+//!   (telemetry off); the spread against the wrapped loop is the *cost
+//!   of telemetry*, which the acceptance bar requires to stay under 5%
+//!   on the streaming pattern. Both loops are inlined into this bench, so
+//!   the wrapper's counter stays in a register and the expected cost is
+//!   one add per apply.
+//!
+//! A fourth column, `kernel`, runs the same pattern as a `Kernel` region
+//! through `RegionExecutor::run`, the path every workload takes: the
+//! executor hands each schedule chunk to the view's `run_chunk`, which
+//! for the block views runs the chunk on a by-value handle of the view's
+//! hot fields. It is timed by the region report's loop phase, so it also
+//! pays view creation and stash (negligible at this N).
 //!
 //! A second section measures the **merge phase** (what the block
 //! epilogues stream after the barrier): the fused `merge_refill_into`
@@ -38,7 +45,7 @@ use bench::args::Opts;
 use spray::arena::AlignedBuf;
 use spray::{
     kernels, reduce_dyn, BlockCasReduction, BlockLockReduction, BlockPrivateReduction, CountedView,
-    ReducerView, Reduction, Strategy, Sum,
+    Kernel, ReducerView, Reduction, RegionExecutor, Strategy, Sum,
 };
 use std::hint::black_box;
 use std::io::Write;
@@ -56,6 +63,40 @@ struct Row {
     uncached_ns: f64,
     /// Fast path without the counting wrapper (telemetry off).
     uncounted_ns: f64,
+    /// The pattern as a `Kernel` region through `RegionExecutor::run`.
+    kernel_ns: f64,
+}
+
+/// Iteration `k` applies `1.0` at the pattern's `k`-th index.
+struct Scatter<'a>(&'a [usize]);
+
+impl Kernel<f64> for Scatter<'_> {
+    #[inline]
+    fn item<V: ReducerView<f64>>(&self, view: &mut V, k: usize) {
+        view.apply(self.0[k], black_box(1.0));
+    }
+}
+
+/// Best ns per apply of `reps` one-thread `Kernel` regions of `idx`
+/// through one `RegionExecutor` (scratch retained across regions, as in
+/// an iterative solver), timed by each report's loop phase.
+fn bench_kernel(strategy: Strategy, n: usize, idx: &[usize], reps: usize) -> f64 {
+    let pool = ompsim::ThreadPool::new(1);
+    let mut out = vec![0.0f64; n];
+    let mut ex = RegionExecutor::<f64, Sum>::new(strategy);
+    let mut best = f64::INFINITY;
+    for _ in 0..reps + 1 {
+        let report = ex.run(
+            &pool,
+            &mut out,
+            0..idx.len(),
+            ompsim::Schedule::default(),
+            &Scatter(idx),
+        );
+        best = best.min(report.phases.loop_secs);
+    }
+    black_box(out.as_slice());
+    best * 1e9 / idx.len() as f64
 }
 
 /// Merge-phase measurement: fused kernel vs seed-shaped scalar two-pass,
@@ -265,6 +306,7 @@ macro_rules! bench_flavor {
             cached_ns: cached * per,
             uncached_ns: uncached * per,
             uncounted_ns: uncounted * per,
+            kernel_ns: 0.0,
         }
     }};
 }
@@ -281,7 +323,7 @@ fn main() {
     println!("# N = {n}, block_size = {block_size}, reps = {reps}, 1 thread");
     println!(
         "strategy,pattern,cached_ns_per_apply,uncached_ns_per_apply,\
-         telemetry_off_ns_per_apply,telemetry_overhead_pct,speedup"
+         telemetry_off_ns_per_apply,telemetry_overhead_pct,speedup,kernel_ns_per_apply"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -292,15 +334,18 @@ fn main() {
             bench_flavor!(BlockCasReduction, block_size, n, &idx, reps),
         ] {
             row.pattern = pattern;
+            let strategy = row.strategy.parse().expect("block labels parse");
+            row.kernel_ns = bench_kernel(strategy, n, &idx, reps);
             println!(
-                "{},{},{:.3},{:.3},{:.3},{:.2},{:.3}",
+                "{},{},{:.3},{:.3},{:.3},{:.2},{:.3},{:.3}",
                 row.strategy,
                 row.pattern,
                 row.cached_ns,
                 row.uncached_ns,
                 row.uncounted_ns,
                 100.0 * (row.cached_ns / row.uncounted_ns - 1.0),
-                row.uncached_ns / row.cached_ns
+                row.uncached_ns / row.cached_ns,
+                row.kernel_ns
             );
             rows.push(row);
         }
@@ -329,13 +374,15 @@ fn main() {
         json.push_str(&format!(
             "    {{\"strategy\": \"{}\", \"pattern\": \"{}\", \
              \"cached_ns_per_apply\": {:.3}, \"uncached_ns_per_apply\": {:.3}, \
-             \"telemetry_off_ns_per_apply\": {:.3}, \"telemetry_overhead_pct\": {:.2}}},\n",
+             \"telemetry_off_ns_per_apply\": {:.3}, \"telemetry_overhead_pct\": {:.2}, \
+             \"kernel_ns_per_apply\": {:.3}}},\n",
             r.strategy,
             r.pattern,
             r.cached_ns,
             r.uncached_ns,
             r.uncounted_ns,
             100.0 * (r.cached_ns / r.uncounted_ns - 1.0),
+            r.kernel_ns,
         ));
     }
     json.push_str(&format!(

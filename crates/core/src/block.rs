@@ -42,6 +42,14 @@
 //!   Private copies are allocated at the full (padded) block size so
 //!   every in-block offset is valid; a direct block enters the table only
 //!   when it lies wholly inside the array.
+//! * **Chunk handle.** A loop that calls `apply` on the view itself
+//!   reloads the table pointer and length, shift and mask on every
+//!   update, because the view's address escapes (`view`'s return slot,
+//!   `stash`). The executor instead hands each schedule chunk of a
+//!   [`crate::Kernel`] region to [`ReducerView::run_chunk`], which runs
+//!   the chunk on a by-value copy of those fields plus a chunk-local
+//!   apply count; its slow path receives the table slice and the view's
+//!   core, never the copy, so the hot fields stay in registers.
 //! * **Debug-only index assert.** The per-apply bounds `assert!` became a
 //!   `debug_assert!`; release builds bounds-check at block granularity:
 //!   the table lookup misses for blocks past the end, and every slow-path
@@ -85,9 +93,11 @@ use crate::kernels;
 use crate::plan::RegionPlan;
 use crate::reducer::{ReducerView, Reduction};
 use crate::shared::{owner_of, CachePadded, MemCounter, SharedSlice, Slots};
+use crate::strategy::Kernel;
 use crate::telemetry::{Counters, Telemetry, TelemetryBoard};
 use ompsim::Topology;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -694,13 +704,17 @@ impl<'a, T: Element, O: ReduceOp<T>> BlockCasReduction<'a, T, O> {
 /// the slow path. Split in two on purpose: the table and the shift/mask
 /// stay direct, everything else lives in an inner core struct, and the
 /// slow path borrows **only** `self.core` plus the table's contents, never
-/// the hot fields themselves. Apply *counting* does not live here at all:
-/// it is done by the driver's [`crate::CountedView`] wrapper, whose
-/// counter is register-resident, and credited via
-/// [`Reduction::record_applies`] — a view-resident counter is a
-/// loop-carried load-add-store chain whose store-forwarding latency
-/// rivals the whole fast path (the `apply_overhead` microbench measures
-/// exactly this).
+/// the hot fields themselves.
+///
+/// The view's own address escapes (into [`Reduction::view`]'s return
+/// slot and [`Reduction::stash`]), so a loop calling
+/// [`apply`](ReducerView::apply) on it reloads the hot fields on every
+/// update; [`ReducerView::run_chunk`] runs a [`Kernel`] chunk on a
+/// by-value copy of them instead (see the module docs). Apply *counting*
+/// never lives in the view: a view-resident counter is a loop-carried
+/// load-add-store chain whose store-forwarding latency rivals the whole
+/// fast path; the drivers count per chunk and credit the total via
+/// [`Reduction::record_applies`].
 pub struct BlockView<T, O, W> {
     /// One entry per block: a storage base or a sentinel (see
     /// [`ViewScratch::table`] for the invariant). Retained across
@@ -763,7 +777,8 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
     /// touch many blocks take this path once per block and region, and
     /// both a size-optimized body and a forced call boundary have
     /// measurably regressed them (the `apply_overhead` microbench covers
-    /// a random-permutation pattern).
+    /// a random-permutation pattern). The fast path weights its branch to
+    /// here with [`unlikely`] instead, which leaves this body as it is.
     fn apply_slow(&mut self, table: &mut [*mut T], i: usize, v: T) {
         assert!(
             i < self.len,
@@ -966,36 +981,60 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> BlockView<T, O, W> {
     }
 }
 
-impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O, W> {
-    #[inline(always)]
-    fn apply(&mut self, i: usize, v: T) {
-        debug_assert!(i < self.core.len, "reduction index {i} out of bounds");
-        match self.table.get(i >> self.shift) {
-            // SAFETY: table invariant — a non-sentinel entry covers
-            // offsets `0..=mask` of its block and belongs to this thread
-            // for the region.
-            Some(&e) if e as usize > LAST_SENTINEL => unsafe {
-                combine_at::<T, O>(e.add(i & self.mask), i, v)
-            },
-            _ => self.core.apply_slow(&mut self.table, i, v),
+/// `out[i] ⊕= v` through a view's base table: `i >> shift`, one table
+/// load, one branch and the combine when the entry is a storage base;
+/// anything else goes to `core`'s slow path. The one fast path of both
+/// [`BlockView::apply`](ReducerView::apply) and [`ChunkView`]'s.
+#[inline(always)]
+fn apply_via_table<T: Element, O: ReduceOp<T>, W: Ownership>(
+    table: &mut [*mut T],
+    shift: u32,
+    mask: usize,
+    core: &mut ViewCore<T, O, W>,
+    i: usize,
+    v: T,
+) {
+    debug_assert!(i < core.len, "reduction index {i} out of bounds");
+    match table.get(i >> shift) {
+        // SAFETY: table invariant — a non-sentinel entry covers offsets
+        // `0..=mask` of its block and belongs to this thread for the
+        // region.
+        Some(&e) if e as usize > LAST_SENTINEL => unsafe {
+            combine_at::<T, O>(e.add(i & mask), i, v)
+        },
+        _ => {
+            unlikely();
+            core.apply_slow(table, i, v)
         }
     }
+}
 
-    /// Batched form: split the run at block boundaries, resolve each
-    /// block's table entry once, and stream the in-block stretch through
-    /// the merge kernel instead of re-deciding ownership per element.
+/// Marks the branch that calls it as rarely taken. Inlined away, it
+/// leaves only the branch weight, and that is what keeps a chunk loop's
+/// hot fields in registers: the register allocator may then hold them in
+/// caller-saved registers and spill them around the slow-path call only,
+/// instead of reloading some from the stack on every apply.
+#[cold]
+#[inline]
+fn unlikely() {}
+
+impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
+    /// Batched form of `apply` for both view types: split the run at
+    /// block boundaries, resolve each block's table entry once, and
+    /// stream the in-block stretch through the merge kernel instead of
+    /// re-deciding ownership per element.
     ///
     /// Compiled out under `verify`: the per-element default preserves the
     /// exact `SharedWrite` perturbation-hook sequence of the seed.
     #[cfg(not(feature = "verify"))]
-    fn apply_run(&mut self, start: usize, vals: &[T]) {
+    fn apply_run(&mut self, table: &mut [*mut T], start: usize, vals: &[T]) {
         // One up-front range check covers the whole run (the per-element
         // path re-checks per apply).
         assert!(
-            start + vals.len() <= self.core.len,
+            start + vals.len() <= self.len,
             "reduction run {start}..{} out of bounds (len {})",
             start + vals.len(),
-            self.core.len
+            self.len
         );
         let mut k = 0;
         while k < vals.len() {
@@ -1003,9 +1042,9 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
             let b = i >> self.shift;
             // Elements of this run landing in block `b`.
             let run_len = (((b + 1) << self.shift).min(start + vals.len())) - i;
-            let mut e = self.table[b];
+            let mut e = table[b];
             if e as usize == UNKNOWN {
-                e = self.core.resolve(&mut self.table, b);
+                e = self.resolve(table, b);
             }
             if e as usize > LAST_SENTINEL {
                 // SAFETY: table invariant — `e` covers offsets `0..=mask`
@@ -1022,11 +1061,73 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
                 // Demoted or partial trailing direct block: element
                 // applies through the slow path.
                 for (off, &v) in vals[k..k + run_len].iter().enumerate() {
-                    self.core.apply_slow(&mut self.table, i + off, v);
+                    self.apply_slow(table, i + off, v);
                 }
             }
             k += run_len;
         }
+    }
+}
+
+impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O, W> {
+    #[inline(always)]
+    fn apply(&mut self, i: usize, v: T) {
+        apply_via_table(&mut self.table, self.shift, self.mask, &mut self.core, i, v);
+    }
+
+    #[cfg(not(feature = "verify"))]
+    fn apply_run(&mut self, start: usize, vals: &[T]) {
+        self.core.apply_run(&mut self.table, start, vals);
+    }
+
+    /// Runs the chunk on a [`ChunkView`] over this view's fields.
+    #[inline]
+    fn run_chunk<K: Kernel<T>>(&mut self, kernel: &K, chunk: Range<usize>) -> u64 {
+        let mut handle = ChunkView {
+            table: &mut self.table,
+            shift: self.shift,
+            mask: self.mask,
+            applies: 0,
+            core: &mut self.core,
+        };
+        for i in chunk {
+            kernel.item(&mut handle, i);
+        }
+        handle.applies
+    }
+}
+
+/// A [`BlockView`]'s hot fields copied by value for one schedule chunk
+/// of a [`Kernel`] region: the table pointer and length, shift, mask and
+/// the chunk's apply count. The kernel receives it by reference, but once
+/// its body is inlined into the chunk loop nothing takes the handle's
+/// address — the slow path receives the table slice and the
+/// [`ViewCore`], never the handle — so every field stays in a register
+/// and an apply costs the table load and the combine, with no store
+/// besides the combine's.
+struct ChunkView<'v, T, O, W> {
+    table: &'v mut [*mut T],
+    shift: u32,
+    mask: usize,
+    applies: u64,
+    core: &'v mut ViewCore<T, O, W>,
+}
+
+impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for ChunkView<'_, T, O, W> {
+    #[inline(always)]
+    fn apply(&mut self, i: usize, v: T) {
+        self.applies += 1;
+        apply_via_table(self.table, self.shift, self.mask, self.core, i, v);
+    }
+
+    /// Counts the run as one apply per element and forwards it to the
+    /// block run path (compiled out under `verify`, like
+    /// [`BlockView`]'s).
+    #[cfg(not(feature = "verify"))]
+    #[inline]
+    fn apply_run(&mut self, start: usize, vals: &[T]) {
+        self.applies += vals.len() as u64;
+        self.core.apply_run(self.table, start, vals);
     }
 }
 
@@ -1412,6 +1513,124 @@ mod tests {
         let mut out = vec![0i64; 100];
         let red = BlockCasReduction::<i64, Sum>::new(&mut out, 1, 64);
         assert!(padding_apply_panics(&red), "block-CAS accepted index 120");
+    }
+
+    /// Applies every index of `.0` on each kernel iteration.
+    struct ApplyAll(&'static [usize]);
+
+    impl crate::Kernel<i64> for ApplyAll {
+        fn item<V: ReducerView<i64>>(&self, view: &mut V, _: usize) {
+            for &i in self.0 {
+                view.apply(i, 1);
+            }
+        }
+    }
+
+    /// Runs [`ApplyAll`] over an output of `len` elements as a
+    /// one-iteration `Kernel` region of `RegionExecutor::run` on a
+    /// one-thread pool, the chunk-handle path every workload takes;
+    /// returns whether the region panicked.
+    fn kernel_region_panics(
+        strategy: crate::Strategy,
+        len: usize,
+        indices: &'static [usize],
+    ) -> bool {
+        let pool = ThreadPool::new(1);
+        let mut out = vec![0i64; len];
+        let mut ex = crate::RegionExecutor::<i64, Sum>::new(strategy);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ex.run(
+                &pool,
+                &mut out,
+                0..1,
+                Schedule::default(),
+                &ApplyAll(indices),
+            );
+        }))
+        .is_err()
+    }
+
+    #[test]
+    fn kernel_path_panics_on_block_past_the_end() {
+        // Len 128 in blocks of 64 has two full blocks; 70 gives block 1
+        // a storage base in the table (a private copy or, when owned, the
+        // array itself), and 130 lies in a third block, past the table.
+        // Without debug asserts only the chunk handle's table-length
+        // check stops it from landing in block 1's storage.
+        for strategy in [
+            crate::Strategy::BlockPrivate { block_size: 64 },
+            crate::Strategy::BlockLock { block_size: 64 },
+            crate::Strategy::BlockCas { block_size: 64 },
+        ] {
+            assert!(
+                kernel_region_panics(strategy, 128, &[70, 130]),
+                "{} accepted index 130",
+                strategy.label()
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_path_padding_of_direct_partial_block_panics() {
+        // As `padding_of_direct_partial_block_panics`, through the chunk
+        // handle: 99 makes the thread the direct owner of the partial
+        // block 64..100, and 120 lies in its padding.
+        for strategy in [
+            crate::Strategy::BlockLock { block_size: 64 },
+            crate::Strategy::BlockCas { block_size: 64 },
+        ] {
+            assert!(
+                kernel_region_panics(strategy, 100, &[99, 120]),
+                "{} accepted index 120",
+                strategy.label()
+            );
+        }
+    }
+
+    /// Iteration `i` adds the run `[1, 2, 3]` at `i..i + 3`.
+    struct Runs;
+
+    impl crate::Kernel<i64> for Runs {
+        fn item<V: ReducerView<i64>>(&self, view: &mut V, i: usize) {
+            view.apply_run(i, &[1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn kernel_path_runs_match_sequential_and_count_every_element() {
+        // Runs of three straddle block seams (blocks of 16) and end in the
+        // partial trailing block of a 100-element array, so the chunk
+        // handle's run path takes the merge kernel, first touches and the
+        // per-element slow path; each element counts as one apply.
+        let n = 100;
+        let mut want = vec![0i64; n];
+        for i in 0..n - 2 {
+            for (k, v) in [1, 2, 3].into_iter().enumerate() {
+                want[i + k] += v;
+            }
+        }
+        let pool = ThreadPool::new(3);
+        for strategy in [
+            crate::Strategy::BlockPrivate { block_size: 16 },
+            crate::Strategy::BlockLock { block_size: 16 },
+            crate::Strategy::BlockCas { block_size: 16 },
+        ] {
+            let mut out = vec![0i64; n];
+            let report = crate::RegionExecutor::<i64, Sum>::new(strategy).run(
+                &pool,
+                &mut out,
+                0..n - 2,
+                Schedule::dynamic(5),
+                &Runs,
+            );
+            assert_eq!(out, want, "{}", strategy.label());
+            assert_eq!(
+                report.counters.totals().applies,
+                3 * (n as u64 - 2),
+                "{}",
+                strategy.label()
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::elem::{AtomicElement, ReduceOp};
 use crate::keeper::KeeperReduction;
 use crate::map::{BTreeMapReduction, HashMapReduction};
 use crate::plan::{PlanBudget, PlanCache};
-use crate::reducer::{reduce_chunked_phased, Reduction};
+use crate::reducer::{reduce_chunked_phased, ReducerView, Reduction};
 use crate::strategy::{Kernel, Strategy};
 use crate::telemetry::{PhaseBoard, PhaseTimes, RunReport, Telemetry};
 use ompsim::{Schedule, ThreadPool};
@@ -823,16 +823,14 @@ where
     K: Kernel<T>,
 {
     let board = PhaseBoard::new(pool.num_threads());
+    // Each schedule chunk goes to the strategy view whole, so a view can
+    // run the chunk's loop on a copy of its hot fields held in registers.
     reduce_chunked_phased(
         pool,
         red,
         range,
         schedule,
-        |view, chunk| {
-            for i in chunk {
-                kernel.item(view, i);
-            }
-        },
+        |view, chunk| view.run_chunk(kernel, chunk),
         Some(&board),
     );
     let counters = red.telemetry();

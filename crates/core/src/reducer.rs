@@ -9,6 +9,7 @@
 //! queuing, merge order) is strategy-private.
 
 use crate::elem::Element;
+use crate::strategy::Kernel;
 use crate::telemetry::{PhaseBoard, Telemetry};
 use ompsim::{Schedule, ScheduleInstance, ThreadPool};
 use std::ops::Range;
@@ -50,6 +51,28 @@ pub trait ReducerView<T: Element> {
         for (k, &v) in vals.iter().enumerate() {
             self.apply(start + k, v);
         }
+    }
+
+    /// Runs `kernel.item(_, i)` for every `i` in `chunk` through this
+    /// view and returns the applies made: the executor hands every
+    /// schedule chunk of a [`Kernel`] region to the view through this
+    /// method.
+    ///
+    /// The default counts through a [`CountedView`] that lives for the
+    /// chunk, so the count is a chunk-local variable. The block views
+    /// override it to run the chunk on a by-value copy of their hot
+    /// fields (see [`crate::BlockView`]). Not part of the public API.
+    #[doc(hidden)]
+    #[inline]
+    fn run_chunk<K: Kernel<T>>(&mut self, kernel: &K, chunk: Range<usize>) -> u64
+    where
+        Self: Sized,
+    {
+        let mut counted = CountedView::new(self);
+        for i in chunk {
+            kernel.item(&mut counted, i);
+        }
+        counted.applies()
     }
 }
 
@@ -118,26 +141,31 @@ pub trait Reduction<T: Element>: Sync {
         Telemetry::empty(self.num_threads())
     }
 
-    /// Driver callback crediting thread `tid` with `applies` updates made
-    /// through its [`CountedView`] this region. The drivers count applies
-    /// themselves — a view-resident counter is a loop-carried memory
-    /// round-trip the hot path can't afford, while the driver's wrapper
-    /// field stays register-resident (see [`CountedView`]). Strategies
-    /// with a telemetry board fold the count into it; the default drops
-    /// it.
+    /// Driver callback crediting thread `tid` with the `applies` its
+    /// view made this region. The drivers count applies per schedule
+    /// chunk, in a chunk-local counter ([`CountedView`] or the block
+    /// views' chunk handle), instead of in a field of the strategy view:
+    /// a view-resident counter is a loop-carried memory round-trip the
+    /// hot path can't afford. Strategies with a telemetry board fold the
+    /// count into it; the default drops it.
     fn record_applies(&self, _tid: usize, _applies: u64) {}
 }
 
-/// The view the drivers actually hand to loop bodies: forwards every
-/// [`apply`](ReducerView::apply) to the strategy view while counting it.
+/// The view the closure drivers ([`reduce`], [`reduce_chunked`]) hand to
+/// loop bodies, and the default [`ReducerView::run_chunk`] hands to a
+/// [`Kernel`]: forwards every [`apply`](ReducerView::apply) to the
+/// strategy view while counting it.
 ///
-/// The counter lives here — in a short-lived wrapper whose address never
-/// escapes the inlined loop — rather than in the strategy views, because
-/// scalar replacement then keeps it in a register: the strategy view's own
-/// address escapes into outlined slow paths (and the sret return of
-/// [`Reduction::view`]), which would turn a view-resident counter into a
-/// load-add-store chain whose store-forwarding latency rivals the whole
-/// fast path. The `apply_overhead` microbench measures both placements.
+/// The counter lives here, in a wrapper built per schedule chunk, rather
+/// than in the strategy views: the strategy view's own address escapes
+/// into outlined slow paths (and the sret return of [`Reduction::view`]),
+/// which turns a view-resident counter into a load-add-store chain whose
+/// store-forwarding latency rivals the whole fast path. The wrapper's
+/// counter stays in a register only if the chunk loop and the body are
+/// inlined into one function; a per-chunk body kept out of line gets the
+/// wrapper by reference and stores the counter on every apply.
+/// [`ReducerView::run_chunk`] keeps the loop and the counter of a
+/// [`Kernel`] region in one frame.
 pub struct CountedView<'a, V> {
     inner: &'a mut V,
     applies: u64,
@@ -209,14 +237,26 @@ pub fn reduce_chunked<T, R, F>(
     R: Reduction<T>,
     F: Fn(&mut CountedView<'_, R::View>, Range<usize>) + Sync,
 {
-    reduce_chunked_phased(pool, red, range, schedule, body, None);
+    reduce_chunked_phased(
+        pool,
+        red,
+        range,
+        schedule,
+        |view, chunk| {
+            let mut counted = CountedView::new(view);
+            body(&mut counted, chunk);
+            counted.applies()
+        },
+        None,
+    );
 }
 
-/// The driver behind [`reduce_chunked`], optionally recording per-phase
-/// wall times into `phases` (one [`Instant`] pair per phase per thread —
-/// only taken when a board is attached, so the untimed path stays
-/// untouched). The [`crate::RegionExecutor`] is the only caller that
-/// attaches a board.
+/// The driver behind [`reduce_chunked`] and the executor: `body(view,
+/// chunk)` runs one schedule chunk on the thread's strategy view and
+/// returns the applies it made. Optionally records per-phase wall times
+/// into `phases` (one [`Instant`] pair per phase per thread — only taken
+/// when a board is attached, so the untimed path stays untouched). The
+/// [`crate::RegionExecutor`] is the only caller that attaches a board.
 pub(crate) fn reduce_chunked_phased<T, R, F>(
     pool: &ThreadPool,
     red: &R,
@@ -227,7 +267,7 @@ pub(crate) fn reduce_chunked_phased<T, R, F>(
 ) where
     T: Element,
     R: Reduction<T>,
-    F: Fn(&mut CountedView<'_, R::View>, Range<usize>) + Sync,
+    F: Fn(&mut R::View, Range<usize>) -> u64 + Sync,
 {
     assert_eq!(
         pool.num_threads(),
@@ -251,11 +291,11 @@ pub(crate) fn reduce_chunked_phased<T, R, F>(
             pool.parallel(|team| {
                 let tid = team.id();
                 let mut view = red.view(tid);
-                let mut counted = CountedView::new(&mut view);
+                let mut applies = 0;
                 for chunk in inst.chunks(tid) {
-                    body(&mut counted, chunk);
+                    applies += body(&mut view, chunk);
                 }
-                red.record_applies(tid, counted.applies());
+                red.record_applies(tid, applies);
                 red.stash(tid, view);
                 team.barrier();
                 red.epilogue(tid);
@@ -267,11 +307,11 @@ pub(crate) fn reduce_chunked_phased<T, R, F>(
                 let tid = team.id();
                 let loop_start = Instant::now();
                 let mut view = red.view(tid);
-                let mut counted = CountedView::new(&mut view);
+                let mut applies = 0;
                 for chunk in inst.chunks(tid) {
-                    body(&mut counted, chunk);
+                    applies += body(&mut view, chunk);
                 }
-                red.record_applies(tid, counted.applies());
+                red.record_applies(tid, applies);
                 red.stash(tid, view);
                 let loop_time = loop_start.elapsed();
                 let barrier_time = team.barrier_timed();

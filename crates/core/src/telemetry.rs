@@ -8,9 +8,9 @@
 //! * **[`Counters`]** — per-thread event counts. Cold-path events
 //!   (first touches, conflicts, privatizations, forwards) are tallied on
 //!   the strategy views' private fields; the hot-path `applies` count is
-//!   kept by the *driver* in its register-resident
-//!   [`crate::CountedView`] wrapper and credited via
-//!   [`crate::Reduction::record_applies`]. Everything is published once per
+//!   kept by the *driver* per schedule chunk, in a chunk-local counter
+//!   ([`crate::ReducerView::run_chunk`] or a [`crate::CountedView`]), and
+//!   credited via [`crate::Reduction::record_applies`]. Everything is published once per
 //!   phase into cache-line-padded per-thread slots ([`TelemetryBoard`]),
 //!   so counting never false-shares.
 //! * **[`PhaseTimes`]** — wall time of the region's four phases (loop,

@@ -26,19 +26,58 @@ pub struct PageRankResult {
     pub total_applies: u64,
 }
 
+/// Pushes vertex `u`'s contribution `damping · rank/outdeg` to each of
+/// its successors. Computing it per vertex inside the parallel push
+/// spares a serial pass over all vertices before every region. A
+/// dangling vertex has no successors and pushes nothing; its mass is
+/// spread through the base rank instead.
+#[inline]
+fn push<V: ReducerView<f64> + ?Sized>(
+    g: &Graph,
+    ranks: &[f64],
+    damping: f64,
+    view: &mut V,
+    u: usize,
+) {
+    let succ = g.out_neighbors(u);
+    let c = damping * ranks[u] / succ.len() as f64;
+    for &v in succ {
+        view.apply(v as usize, c);
+    }
+}
+
 struct PushKernel<'a> {
     g: &'a Graph,
-    contrib: &'a [f64],
+    ranks: &'a [f64],
+    damping: f64,
 }
 
 impl Kernel<f64> for PushKernel<'_> {
     #[inline]
     fn item<V: ReducerView<f64>>(&self, view: &mut V, u: usize) {
-        let c = self.contrib[u];
-        for &v in self.g.out_neighbors(u) {
-            view.apply(v as usize, c);
-        }
+        push(self.g, self.ranks, self.damping, view, u);
     }
+}
+
+/// The vertices without out-edges, ascending. They are counted first so
+/// the list is allocated once, at its exact size.
+fn dangling_vertices(g: &Graph) -> Vec<u32> {
+    let n = g.num_vertices();
+    let is_dangling = |&u: &usize| g.out_degree(u) == 0;
+    let mut list = Vec::with_capacity((0..n).filter(is_dangling).count());
+    list.extend((0..n).filter(is_dangling).map(|u| u as u32));
+    list
+}
+
+/// The rank every vertex starts a power iteration with: the teleport
+/// share plus the dangling vertices' mass, spread uniformly.
+fn base_rank(ranks: &[f64], dangling: &[u32], damping: f64) -> f64 {
+    let n = ranks.len() as f64;
+    let mut mass = 0.0;
+    for &u in dangling {
+        mass += ranks[u as usize];
+    }
+    (1.0 - damping) / n + damping * mass / n
 }
 
 /// PageRank by push-style power iteration: each vertex scatters
@@ -125,8 +164,8 @@ pub fn pagerank_with_budget(
     let n = g.num_vertices();
     assert!(n > 0, "empty graph");
     let mut ranks = vec![1.0 / n as f64; n];
-    let mut contrib = vec![0.0f64; n];
     let mut next = vec![0.0f64; n];
+    let dangling = dangling_vertices(g);
     // Reducer scratch survives the rank-vector swap: block strategies
     // allocate their base tables and private copies once, on the first
     // power iteration.
@@ -141,21 +180,11 @@ pub fn pagerank_with_budget(
     let mut total_applies = 0u64;
 
     for it in 1..=max_iters {
-        let mut dangling = 0.0;
-        for u in 0..n {
-            let d = g.out_degree(u);
-            if d == 0 {
-                dangling += ranks[u];
-                contrib[u] = 0.0;
-            } else {
-                contrib[u] = damping * ranks[u] / d as f64;
-            }
-        }
-        let base = (1.0 - damping) / n as f64 + damping * dangling / n as f64;
-        next.fill(base);
+        next.fill(base_rank(&ranks, &dangling, damping));
         let kernel = PushKernel {
             g,
-            contrib: &contrib,
+            ranks: &ranks,
+            damping,
         };
         // The push pattern is the graph's CSR structure — identical every
         // power iteration — so one recorded plan replays for all of them.
@@ -204,39 +233,24 @@ pub fn pagerank_via_service(
     let n = g.num_vertices();
     assert!(n > 0, "empty graph");
     let mut ranks = vec![1.0 / n as f64; n];
-    let mut contrib = vec![0.0f64; n];
     let mut next = vec![0.0f64; n];
+    let dangling = dangling_vertices(g);
     let mut last_report = None;
     let mut total_applies = 0u64;
 
     for it in 1..=max_iters {
-        let mut dangling = 0.0;
-        for u in 0..n {
-            let d = g.out_degree(u);
-            if d == 0 {
-                dangling += ranks[u];
-                contrib[u] = 0.0;
-            } else {
-                contrib[u] = damping * ranks[u] / d as f64;
-            }
-        }
-        let base = (1.0 - damping) / n as f64 + damping * dangling / n as f64;
-        next.fill(base);
+        next.fill(base_rank(&ranks, &dangling, damping));
         // One scoped job per power iteration: the body borrows the graph
-        // and this iteration's contributions; the rank vector travels
-        // with the job and comes back merged.
-        let contrib_ref: &[f64] = &contrib;
+        // and the previous ranks, and computes each contribution as it
+        // pushes; the rank vector travels with the job and comes back
+        // merged.
+        let prev: &[f64] = &ranks;
         let job = spray_service::Job {
             tenant: class,
             class,
             out: std::mem::take(&mut next),
             iters: n,
-            body: Box::new(move |view, u| {
-                let c = contrib_ref[u];
-                for &v in g.out_neighbors(u) {
-                    view.apply(v as usize, c);
-                }
-            }),
+            body: Box::new(move |view, u| push(g, prev, damping, view, u)),
         };
         let result = svc
             .run_scoped(vec![job])
@@ -611,6 +625,96 @@ mod tests {
         assert!(svc.shared().jobs() >= via.iterations as u64);
         // Iterations replay one cached plan: all but the first are planned.
         assert!(via.report.unwrap().planned_regions > 0);
+    }
+
+    /// Push-style power iteration with the contribution pass kept apart
+    /// from the push: every iteration first divides each rank by its
+    /// out-degree into a contribution vector, then `scatter(contrib,
+    /// next)` adds the contributions to `next`. Returns the ranks and the
+    /// iteration count.
+    fn separate_pass_pagerank(
+        g: &Graph,
+        damping: f64,
+        tol: f64,
+        max_iters: usize,
+        mut scatter: impl FnMut(&[f64], &mut [f64]),
+    ) -> (Vec<f64>, usize) {
+        let n = g.num_vertices();
+        let mut ranks = vec![1.0 / n as f64; n];
+        let mut contrib = vec![0.0f64; n];
+        let mut next = vec![0.0f64; n];
+        for it in 1..=max_iters {
+            let mut dangling = 0.0;
+            for u in 0..n {
+                let d = g.out_degree(u);
+                if d == 0 {
+                    dangling += ranks[u];
+                    contrib[u] = 0.0;
+                } else {
+                    contrib[u] = damping * ranks[u] / d as f64;
+                }
+            }
+            next.fill((1.0 - damping) / n as f64 + damping * dangling / n as f64);
+            scatter(&contrib, &mut next);
+            let delta: f64 = ranks.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut ranks, &mut next);
+            if delta < tol {
+                return (ranks, it);
+            }
+        }
+        (ranks, max_iters)
+    }
+
+    /// The first vertex whose rank differs in any bit, if one does.
+    fn first_bit_difference(got: &[f64], want: &[f64]) -> Option<(usize, f64, f64)> {
+        assert_eq!(got.len(), want.len());
+        (0..got.len())
+            .find(|&u| got[u].to_bits() != want[u].to_bits())
+            .map(|u| (u, got[u], want[u]))
+    }
+
+    #[test]
+    fn pagerank_is_bit_identical_to_a_separate_contribution_pass() {
+        // At one thread a block-CAS push owns every block and adds into
+        // the ranks in push order, and a dense push adds into one
+        // zero-filled private copy merged afterwards; each must match the
+        // same scatter after a separate contribution pass bit for bit.
+        // R-MAT leaves many vertices without out-edges, so the dangling
+        // mass is exercised too.
+        let g = Graph::from_csr_pattern(&spray_sparse::gen::rmat(12, 8, 7));
+        let n = g.num_vertices();
+        assert!((0..n).any(|u| g.out_degree(u) == 0), "no dangling vertex");
+        let (damping, tol, max_iters) = (0.85, 1e-10, 200);
+        let pool = ThreadPool::new(1);
+
+        let (want, iterations) = separate_pass_pagerank(&g, damping, tol, max_iters, |c, next| {
+            for (u, &cu) in c.iter().enumerate() {
+                for &v in g.out_neighbors(u) {
+                    next[v as usize] += cu;
+                }
+            }
+        });
+        let strategy = Strategy::BlockCas { block_size: 1024 };
+        let got = pagerank(&pool, &g, strategy, damping, tol, max_iters);
+        assert!(got.converged);
+        assert_eq!(got.iterations, iterations);
+        assert_eq!(first_bit_difference(&got.ranks, &want), None, "block-CAS");
+
+        let (want, iterations) = separate_pass_pagerank(&g, damping, tol, max_iters, |c, next| {
+            let mut private = vec![0.0f64; n];
+            for (u, &cu) in c.iter().enumerate() {
+                for &v in g.out_neighbors(u) {
+                    private[v as usize] += cu;
+                }
+            }
+            for (x, p) in next.iter_mut().zip(&private) {
+                *x += p;
+            }
+        });
+        let got = pagerank(&pool, &g, Strategy::Dense, damping, tol, max_iters);
+        assert!(got.converged);
+        assert_eq!(got.iterations, iterations);
+        assert_eq!(first_bit_difference(&got.ranks, &want), None, "dense");
     }
 
     #[test]

@@ -360,13 +360,17 @@ struct Dispatcher<T: AtomicElement, O: ReduceOp<T>> {
     /// plan cache stays shared across all of them.
     sessions: BTreeMap<usize, RegionExecutor<T, O>>,
     admission: Admission<T>,
-    epi_tx: Option<mpsc::Sender<Epilogue<T>>>,
+    epi_tx: Option<mpsc::SyncSender<Epilogue<T>>>,
     recycle_tx: mpsc::Sender<Vec<T>>,
     recycle_rx: mpsc::Receiver<Vec<T>>,
     freelist: Vec<Vec<T>>,
 }
 
-/// Concat buffers kept on the dispatcher free list (more are dropped).
+/// Concat buffers kept on the dispatcher free list (more are dropped),
+/// and finished batches that may wait for the epilogue thread: once that
+/// many are queued, the dispatcher blocks before starting another region,
+/// so a dispatcher that outruns the epilogue cannot pile up concat
+/// buffers without bound.
 const FREELIST_CAP: usize = 8;
 
 impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
@@ -467,7 +471,8 @@ impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
         };
         match &self.epi_tx {
             Some(tx) => {
-                // A dead epilogue thread falls back to inline delivery.
+                // Blocks while the epilogue queue is full; a dead
+                // epilogue thread falls back to inline delivery.
                 if let Err(mpsc::SendError(e)) = tx.send(epilogue) {
                     finish_epilogue(e, &self.recycle_tx);
                 }
@@ -485,7 +490,7 @@ fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
     let pool = ThreadPool::new(cfg.threads);
     let (recycle_tx, recycle_rx) = mpsc::channel();
     let (epi_tx, epi_handle) = if cfg.pipeline {
-        let (tx, erx) = mpsc::channel::<Epilogue<T>>();
+        let (tx, erx) = mpsc::sync_channel::<Epilogue<T>>(FREELIST_CAP);
         let rtx = recycle_tx.clone();
         let h = std::thread::Builder::new()
             .name("spray-service-epilogue".into())
