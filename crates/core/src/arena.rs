@@ -24,6 +24,18 @@
 //!   start warm even across strategies. By default every arena shares
 //!   one process-wide pool; the topology-aware executor keeps one pool
 //!   per NUMA node and pins each thread's arena to its node's pool.
+//! * A replayed region plan can ask for a **run**: `n` block slots back
+//!   to back at the start of one slab ([`BlockArena::lay_out_run`]), so
+//!   a block view addresses a contiguous range of private copies from one
+//!   base pointer. An arena whose lone slab already holds `n` slots keeps
+//!   it and reassigns the slots in place. Any other arena frees its slabs
+//!   to the allocator, not the pool, and carves one slab of exactly `n`
+//!   slots. An arena that has laid out a run never pools a slab again:
+//!   the run slab, and any slab grown later for blocks outside the run,
+//!   go back to the allocator when dropped. The run replaces the view's
+//!   scratch rather than adding to it, so the pool never holds a second
+//!   copy of it: a reducer rebuilt for every solve would otherwise leave
+//!   such slabs pooled beside the next solve's freshly laid-out run.
 //!
 //! # Alignment contract
 //!
@@ -66,11 +78,12 @@ const MAX_SLAB_BLOCKS: usize = 1024;
 /// One raw slab allocation. Never moves once allocated; blocks carved
 /// from it stay valid until the arena drops. Remembers the [`ArenaPool`]
 /// it was drawn from and returns there on drop, so slabs recycled on a
-/// per-NUMA-node pool never migrate to another node's pool.
+/// per-NUMA-node pool never migrate to another node's pool; a slab with
+/// no pool (a run slab, or one a run replaced) goes back to the allocator.
 struct Slab {
     ptr: NonNull<u8>,
     layout: Layout,
-    pool: Arc<ArenaPool>,
+    pool: Option<Arc<ArenaPool>>,
 }
 
 // SAFETY: a Slab is just an owned allocation; the arena's access
@@ -80,7 +93,12 @@ unsafe impl Sync for Slab {}
 
 impl Drop for Slab {
     fn drop(&mut self) {
-        self.pool.release(self.ptr, self.layout);
+        match &self.pool {
+            Some(pool) => pool.release(self.ptr, self.layout),
+            // SAFETY: every slab was allocated with exactly `layout`
+            // (pooled slabs are matched by exact layout).
+            None => unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.layout) },
+        }
     }
 }
 
@@ -136,6 +154,9 @@ pub struct BlockArena<T> {
     slab_bytes: usize,
     /// Where slabs are drawn from and recycled to.
     pool: Arc<ArenaPool>,
+    /// Whether new slabs return to `pool` when dropped; cleared for good
+    /// by the first [`BlockArena::lay_out_run`].
+    recycles: bool,
     _elem: std::marker::PhantomData<T>,
 }
 
@@ -175,6 +196,7 @@ impl<T: Element> BlockArena<T> {
             max_blocks: usize::MAX,
             slab_bytes: 0,
             pool,
+            recycles: true,
             _elem: std::marker::PhantomData,
         }
     }
@@ -236,12 +258,65 @@ impl<T: Element> BlockArena<T> {
         BlockRef(unsafe { NonNull::new_unchecked(ptr) })
     }
 
+    /// Whether consecutive slots lie exactly one block apart (the stride
+    /// needs no padding), so a run laid out by
+    /// [`BlockArena::lay_out_run`] is one contiguous array of elements.
+    pub(crate) fn slots_are_contiguous(&self) -> bool {
+        self.stride == self.block_elems
+    }
+
+    /// Lays out `n` identity-filled block slots back to back at the start
+    /// of one slab and returns them in order. Every block handed out
+    /// before is void afterwards: the caller drops its old handles.
+    ///
+    /// An arena whose lone slab already has `n` slots reuses it in place;
+    /// the slots it handed out hold only the identity between regions (the
+    /// block epilogues refill every copy they merge), so only slots never
+    /// carved need a fill. Any other arena frees its slabs to the
+    /// allocator, not the pool, before it carves one slab of exactly `n`
+    /// slots. From then on no slab of this arena returns to the pool: not
+    /// the run slab, and not the slabs grown later for blocks outside the
+    /// run (see the module docs).
+    pub(crate) fn lay_out_run<O: ReduceOp<T>>(
+        &mut self,
+        n: usize,
+    ) -> impl Iterator<Item = BlockRef<T>> {
+        assert!(n > 0, "a run has at least one block");
+        if self.slabs.len() != 1 || self.cap < n {
+            for slab in &mut self.slabs {
+                slab.pool = None;
+            }
+            self.slabs.clear();
+            self.slab_bytes = 0;
+            self.carved = 0;
+            self.next = 0;
+            self.cap = 0;
+            self.recycles = false;
+            self.push_slab(n, false);
+        }
+        let base = self.slabs[0].ptr.as_ptr() as *mut T;
+        if self.next < n {
+            // SAFETY: slots `next..n` lie inside the lone slab (`n <= cap`)
+            // and no handle to them is live.
+            unsafe {
+                kernels::refill_into::<T, O>(
+                    base.add(self.next * self.stride),
+                    (n - self.next) * self.stride,
+                )
+            };
+        }
+        self.next = n;
+        let stride = self.stride;
+        // SAFETY: slot `k < n <= cap` starts inside the lone slab, whose
+        // pointer is non-null.
+        (0..n).map(move |k| BlockRef(unsafe { NonNull::new_unchecked(base.add(k * stride)) }))
+    }
+
     /// Allocates the next slab: doubling sizes up to the slots left under
     /// the cap, drawn from the slab pool when a matching recycled slab
     /// exists.
     fn grow(&mut self) {
-        let size = std::mem::size_of::<T>().max(1);
-        let stride_bytes = self.stride * size;
+        let stride_bytes = self.stride * std::mem::size_of::<T>().max(1);
         let min_blocks = MIN_SLAB_BYTES.div_ceil(stride_bytes).max(1);
         let doubled = if self.cap == 0 {
             min_blocks
@@ -249,7 +324,14 @@ impl<T: Element> BlockArena<T> {
             (self.cap * 2).clamp(min_blocks, MAX_SLAB_BLOCKS.max(min_blocks))
         };
         let blocks = doubled.min(self.max_blocks.saturating_sub(self.carved).max(1));
-        let bytes = blocks * stride_bytes;
+        self.push_slab(blocks, self.recycles);
+    }
+
+    /// Adds a slab of `blocks` slots, drawn from the pool when a recycled
+    /// slab of exactly that layout exists; `pooled` says whether it
+    /// returns there when dropped.
+    fn push_slab(&mut self, blocks: usize, pooled: bool) {
+        let bytes = blocks * self.stride * std::mem::size_of::<T>().max(1);
         let align = SLAB_ALIGN.max(std::mem::align_of::<T>());
         let layout = Layout::from_size_align(bytes, align).expect("slab layout must be valid");
         let ptr = self.pool.acquire(layout).unwrap_or_else(|| {
@@ -260,12 +342,18 @@ impl<T: Element> BlockArena<T> {
         self.slabs.push(Slab {
             ptr,
             layout,
-            pool: self.pool.clone(),
+            pool: pooled.then(|| self.pool.clone()),
         });
         self.slab_bytes += bytes;
         self.carved += blocks;
         self.next = 0;
         self.cap = blocks;
+    }
+
+    /// Slabs currently owned.
+    #[cfg(test)]
+    pub(crate) fn slab_count(&self) -> usize {
+        self.slabs.len()
     }
 }
 
@@ -395,6 +483,20 @@ impl ArenaPool {
     pub(crate) fn release(&self, ptr: NonNull<u8>, layout: Layout) {
         // SAFETY: `ptr` was allocated with exactly `layout`.
         unsafe { std::alloc::dealloc(ptr.as_ptr(), layout) };
+    }
+}
+
+#[cfg(not(miri))]
+impl Drop for ArenaPool {
+    /// Frees the pooled slabs: a per-node pool dropped with its executor
+    /// state would otherwise leak them.
+    fn drop(&mut self) {
+        let entries = self.entries.get_mut().unwrap_or_else(|e| e.into_inner());
+        for e in entries.drain(..) {
+            // SAFETY: pooled slabs were allocated with exactly `layout`
+            // and are owned by the pool alone.
+            unsafe { std::alloc::dealloc(e.ptr.as_ptr(), e.layout) };
+        }
     }
 }
 
@@ -680,18 +782,54 @@ mod tests {
     #[test]
     fn dropped_arena_slabs_are_recycled() {
         // Two same-shape arenas in sequence: the second must draw its
-        // slab from the pool, not the allocator. Verified indirectly via
-        // pointer reuse (the pool is process-global, so other tests may
-        // interleave; acquire-after-release of an exact layout is the
-        // contract).
-        let layout = Layout::from_size_align(8192, SLAB_ALIGN).unwrap();
-        // SAFETY: valid non-zero layout.
-        let raw = unsafe { std::alloc::alloc(layout) };
-        let ptr = NonNull::new(raw).unwrap();
-        super::pool::release(ptr, layout);
-        let got = super::pool::acquire(layout);
-        assert!(got.is_some(), "pool must return a matching slab");
-        // SAFETY: we own it again; free for real.
-        unsafe { std::alloc::dealloc(got.unwrap().as_ptr(), layout) };
+        // slab from the pool, not the allocator. The pool is this test's
+        // own, so tests running concurrently cannot take the slab first.
+        let pool = Arc::new(ArenaPool::new());
+        let mut arena = BlockArena::<u64>::with_pool(512, pool.clone());
+        let first = arena.alloc_identity::<Sum>().as_ptr();
+        drop(arena);
+        assert!(pool.pooled_bytes() > 0, "a dropped slab must be pooled");
+        let mut arena = BlockArena::<u64>::with_pool(512, pool.clone());
+        let second = arena.alloc_identity::<Sum>().as_ptr();
+        assert_eq!(first, second, "the second arena must reuse the slab");
+        assert_eq!(pool.pooled_bytes(), 0);
+    }
+
+    #[cfg(not(miri))]
+    #[test]
+    fn runs_replace_slabs_without_pooling_them() {
+        let pool = Arc::new(ArenaPool::new());
+        let mut arena = BlockArena::<f64>::with_pool(512, pool.clone()).capped(16);
+        assert!(arena.slots_are_contiguous());
+        let old: Vec<_> = (0..7).map(|_| arena.alloc_identity::<Sum>()).collect();
+        // SAFETY: the block is this test's own.
+        unsafe { *old[3].as_ptr() = 5.0 };
+        assert!(arena.slab_count() > 1);
+        // Several slabs: all of them go to the allocator, and the run gets
+        // one slab of exactly its slots, identity-filled.
+        let run: Vec<_> = arena.lay_out_run::<Sum>(12).collect();
+        let bytes = 12 * 512 * std::mem::size_of::<f64>();
+        assert_eq!((arena.slab_count(), arena.slab_bytes()), (1, bytes));
+        assert_eq!(pool.pooled_bytes(), 0, "replaced slabs must not pool");
+        let first = run[0].as_ptr();
+        for (k, slot) in run.iter().enumerate() {
+            assert_eq!(slot.as_ptr(), first.wrapping_add(k * 512));
+        }
+        // SAFETY: the run's slots are this test's own.
+        let elems = unsafe { std::slice::from_raw_parts(first, 12 * 512) };
+        assert!(elems.iter().all(|&x| x == 0.0));
+        // A lone slab with room is reassigned in place.
+        assert_eq!(arena.lay_out_run::<Sum>(9).next().unwrap().as_ptr(), first);
+        assert_eq!(arena.slab_count(), 1);
+        // A longer run replaces it, without pooling it.
+        assert_eq!(arena.lay_out_run::<Sum>(14).count(), 14);
+        assert_eq!(arena.slab_bytes(), 14 * 512 * std::mem::size_of::<f64>());
+        assert_eq!(pool.pooled_bytes(), 0, "run slabs must not pool");
+        // A block outside the full run grows a slab, which does not pool
+        // either when the arena drops.
+        arena.alloc_identity::<Sum>();
+        assert_eq!(arena.slab_count(), 2);
+        drop(arena);
+        assert_eq!(pool.pooled_bytes(), 0, "an arena with a run never pools");
     }
 }

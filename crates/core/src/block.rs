@@ -42,10 +42,30 @@
 //!   Private copies are allocated at the full (padded) block size so
 //!   every in-block offset is valid; a direct block enters the table only
 //!   when it lies wholly inside the array.
+//! * **Run window.** A replayed [`RegionPlan`] names each thread's shared
+//!   blocks before the region starts. When they form one contiguous run
+//!   `lo..hi`, at least half of the thread's planned blocks, and the
+//!   arena packs slots with no padding (blocks of 64 bytes or more), the
+//!   view lays their private copies out back to back in one slab, in
+//!   block order, and carries a window `(base, start = lo·block_size,
+//!   len)`: an apply tests `i - start < len` and combines into
+//!   `base[i - start]`, so the store address comes from registers, with
+//!   no table load. The window ends at the array's end, so indices in the
+//!   last copy's padding still take the table path. Everything else
+//!   (unplanned and recording regions, exclusive, demoted and deviating
+//!   blocks, runs with gaps, runs outnumbered by the thread's other
+//!   blocks) keeps the table, and a chunk handle without a window runs
+//!   the table path alone, without the window test. The run's table
+//!   entries point at the same slots, so the epilogue, `finish`, plan
+//!   extraction, scratch retention and the `verify` hooks see the same
+//!   storage and merge order either way, and results stay bit-identical.
+//!   The layout happens once, at the first replay that finds the run not
+//!   laid out; the [`crate::arena`] docs say where the old slabs go and
+//!   why never to the pool.
 //! * **Chunk handle.** A loop that calls `apply` on the view itself
-//!   reloads the table pointer and length, shift and mask on every
-//!   update, because the view's address escapes (`view`'s return slot,
-//!   `stash`). The executor instead hands each schedule chunk of a
+//!   reloads the window, the table pointer and length, shift and mask on
+//!   every update, because the view's address escapes (`view`'s return
+//!   slot, `stash`). The executor instead hands each schedule chunk of a
 //!   [`crate::Kernel`] region to [`ReducerView::run_chunk`], which runs
 //!   the chunk on a by-value copy of those fields plus a chunk-local
 //!   apply count; its slow path receives the table slice and the view's
@@ -699,12 +719,14 @@ impl<'a, T: Element, O: ReduceOp<T>> BlockCasReduction<'a, T, O> {
 
 /// Per-thread view for all block flavors.
 ///
-/// `apply(i, v)` is `i >> shift`, one load from the per-block base table,
-/// one branch and the combine; only an unresolved entry (a sentinel) takes
-/// the slow path. Split in two on purpose: the table and the shift/mask
-/// stay direct, everything else lives in an inner core struct, and the
-/// slow path borrows **only** `self.core` plus the table's contents, never
-/// the hot fields themselves.
+/// `apply(i, v)` first tests the replay's run window (one subtract, one
+/// compare, then the combine; see the module docs). Outside it, the apply
+/// is `i >> shift`, one load from the per-block base table, one branch
+/// and the combine; only an unresolved entry (a sentinel) takes the slow
+/// path. Split in two on purpose: the window, the table and the
+/// shift/mask stay direct, everything else lives in an inner core struct,
+/// and the slow path borrows **only** `self.core` plus the table's
+/// contents, never the hot fields themselves.
 ///
 /// The view's own address escapes (into [`Reduction::view`]'s return
 /// slot and [`Reduction::stash`]), so a loop calling
@@ -716,6 +738,8 @@ impl<'a, T: Element, O: ReduceOp<T>> BlockCasReduction<'a, T, O> {
 /// fast path; the drivers count per chunk and credit the total via
 /// [`Reduction::record_applies`].
 pub struct BlockView<T, O, W> {
+    /// This replay's run of private copies ([`Window::NONE`] elsewhere).
+    win: Window<T>,
     /// One entry per block: a storage base or a sentinel (see
     /// [`ViewScratch::table`] for the invariant). Retained across
     /// regions with the rest of the scratch; its length never changes
@@ -726,6 +750,28 @@ pub struct BlockView<T, O, W> {
     /// `block_size - 1`.
     mask: usize,
     core: ViewCore<T, O, W>,
+}
+
+/// A replay's run of private copies addressed without the base table:
+/// `out[i]` of this thread lives at `base[i - start]` whenever
+/// `i - start < len` (wrapping). Invariant: `base..base + len` are the
+/// private copies of the run's blocks, back to back in block order, each
+/// also the block's table entry, and `start + len` is at most the array
+/// length.
+#[derive(Clone, Copy)]
+struct Window<T> {
+    base: *mut T,
+    start: usize,
+    len: usize,
+}
+
+impl<T> Window<T> {
+    /// The empty window: every apply takes the table path.
+    const NONE: Self = Window {
+        base: std::ptr::null_mut(),
+        start: 0,
+        len: 0,
+    };
 }
 
 /// The part of a [`BlockView`] whose address escapes into the slow path;
@@ -747,7 +793,11 @@ struct ViewCore<T, O, W> {
     mask: usize,
     len: usize,
     tid: usize,
+    /// Private-copy bytes gained this region: new privatizations, and a
+    /// relaid run's copies.
     allocated_bytes: usize,
+    /// Private-copy bytes a run layout dropped this region.
+    released_bytes: usize,
     /// Blocks resolved this region (footprint; drives plan extraction).
     touched: Vec<u32>,
     /// Blocks privatized this region (drives the sparse epilogue/finish).
@@ -855,6 +905,41 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
                 self.allocated_bytes += (self.mask + 1) * std::mem::size_of::<T>();
                 blk
             }
+        }
+    }
+
+    /// The window over this thread's planned run of private copies, blocks
+    /// `lo..hi`. Lays the copies out back to back in one slab first,
+    /// unless an earlier replay already did; the layout keeps no copy of
+    /// a block outside the run (every held copy is identity between
+    /// regions, so nothing is lost).
+    fn run_window(&mut self, lo: usize, hi: usize) -> Window<T> {
+        let stride = self.mask + 1;
+        let laid_out = |first: BlockRef<T>| {
+            (lo..hi).all(|b| {
+                self.blocks[b].is_some_and(|blk| {
+                    blk.as_ptr() == first.as_ptr().wrapping_add((b - lo) * stride)
+                })
+            })
+        };
+        let first = match self.blocks[lo] {
+            Some(first) if laid_out(first) => first,
+            _ => {
+                let copy_bytes = stride * std::mem::size_of::<T>();
+                self.released_bytes += self.blocks.iter().flatten().count() * copy_bytes;
+                self.allocated_bytes += (hi - lo) * copy_bytes;
+                self.blocks.fill(None);
+                for (b, slot) in (lo..hi).zip(self.arena.lay_out_run::<O>(hi - lo)) {
+                    self.blocks[b] = Some(slot);
+                }
+                self.blocks[lo].expect("the run was just laid out")
+            }
+        };
+        let start = lo << self.shift;
+        Window {
+            base: first.as_ptr(),
+            start,
+            len: (hi << self.shift).min(self.len) - start,
         }
     }
 
@@ -981,12 +1066,15 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> BlockView<T, O, W> {
     }
 }
 
-/// `out[i] ⊕= v` through a view's base table: `i >> shift`, one table
-/// load, one branch and the combine when the entry is a storage base;
-/// anything else goes to `core`'s slow path. The one fast path of both
-/// [`BlockView::apply`](ReducerView::apply) and [`ChunkView`]'s.
+/// `out[i] ⊕= v` for a view: into the run window when `WINDOW` is set and
+/// `i` falls inside it; otherwise through the base table, `i >> shift`,
+/// one table load, one branch and the combine when the entry is a
+/// storage base; anything else goes to `core`'s slow path. The one fast
+/// path of both [`BlockView::apply`](ReducerView::apply) and
+/// [`ChunkView`]'s.
 #[inline(always)]
-fn apply_via_table<T: Element, O: ReduceOp<T>, W: Ownership>(
+fn apply_fast<const WINDOW: bool, T: Element, O: ReduceOp<T>, W: Ownership>(
+    win: Window<T>,
     table: &mut [*mut T],
     shift: u32,
     mask: usize,
@@ -995,6 +1083,12 @@ fn apply_via_table<T: Element, O: ReduceOp<T>, W: Ownership>(
     v: T,
 ) {
     debug_assert!(i < core.len, "reduction index {i} out of bounds");
+    let k = i.wrapping_sub(win.start);
+    if WINDOW && k < win.len {
+        // SAFETY: window invariant — `base..base + len` is this thread's
+        // private storage for the region, and `k < len`.
+        return unsafe { combine_at::<T, O>(win.base.add(k), i, v) };
+    }
     match table.get(i >> shift) {
         // SAFETY: table invariant — a non-sentinel entry covers offsets
         // `0..=mask` of its block and belongs to this thread for the
@@ -1072,7 +1166,15 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
 impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O, W> {
     #[inline(always)]
     fn apply(&mut self, i: usize, v: T) {
-        apply_via_table(&mut self.table, self.shift, self.mask, &mut self.core, i, v);
+        apply_fast::<true, _, _, _>(
+            self.win,
+            &mut self.table,
+            self.shift,
+            self.mask,
+            &mut self.core,
+            i,
+            v,
+        );
     }
 
     #[cfg(not(feature = "verify"))]
@@ -1080,10 +1182,30 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
         self.core.apply_run(&mut self.table, start, vals);
     }
 
-    /// Runs the chunk on a [`ChunkView`] over this view's fields.
+    /// Runs the chunk on a [`ChunkView`] over this view's fields. A view
+    /// without a window gets a handle without the window test, so its
+    /// loop is the table path alone.
     #[inline]
     fn run_chunk<K: Kernel<T>>(&mut self, kernel: &K, chunk: Range<usize>) -> u64 {
-        let mut handle = ChunkView {
+        if self.win.len == 0 {
+            self.run_chunk_on::<false, K>(kernel, chunk)
+        } else {
+            self.run_chunk_on::<true, K>(kernel, chunk)
+        }
+    }
+}
+
+impl<T: Element, O: ReduceOp<T>, W: Ownership> BlockView<T, O, W> {
+    /// [`ReducerView::run_chunk`] on a handle with (`WINDOW`) or without
+    /// the window test.
+    #[inline(always)]
+    fn run_chunk_on<const WINDOW: bool, K: Kernel<T>>(
+        &mut self,
+        kernel: &K,
+        chunk: Range<usize>,
+    ) -> u64 {
+        let mut handle = ChunkView::<T, O, W, WINDOW> {
+            win: self.win,
             table: &mut self.table,
             shift: self.shift,
             mask: self.mask,
@@ -1098,14 +1220,16 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
 }
 
 /// A [`BlockView`]'s hot fields copied by value for one schedule chunk
-/// of a [`Kernel`] region: the table pointer and length, shift, mask and
-/// the chunk's apply count. The kernel receives it by reference, but once
-/// its body is inlined into the chunk loop nothing takes the handle's
-/// address — the slow path receives the table slice and the
-/// [`ViewCore`], never the handle — so every field stays in a register
-/// and an apply costs the table load and the combine, with no store
-/// besides the combine's.
-struct ChunkView<'v, T, O, W> {
+/// of a [`Kernel`] region: the run window, the table pointer and length,
+/// shift, mask and the chunk's apply count. The kernel receives it by
+/// reference, but once its body is inlined into the chunk loop nothing
+/// takes the handle's address — the slow path receives the table slice
+/// and the [`ViewCore`], never the handle — so every field stays in a
+/// register and an apply costs the window test when `WINDOW` is set
+/// (and, outside the window, the table load) and the combine, with no
+/// store besides the combine's.
+struct ChunkView<'v, T, O, W, const WINDOW: bool> {
+    win: Window<T>,
     table: &'v mut [*mut T],
     shift: u32,
     mask: usize,
@@ -1113,11 +1237,13 @@ struct ChunkView<'v, T, O, W> {
     core: &'v mut ViewCore<T, O, W>,
 }
 
-impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for ChunkView<'_, T, O, W> {
+impl<T: Element, O: ReduceOp<T>, W: Ownership, const WINDOW: bool> ReducerView<T>
+    for ChunkView<'_, T, O, W, WINDOW>
+{
     #[inline(always)]
     fn apply(&mut self, i: usize, v: T) {
         self.applies += 1;
-        apply_via_table(self.table, self.shift, self.mask, self.core, i, v);
+        apply_fast::<WINDOW, _, _, _>(self.win, self.table, self.shift, self.mask, self.core, i, v);
     }
 
     /// Counts the run as one apply per element and forwards it to the
@@ -1187,6 +1313,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
             len: self.out.len(),
             tid,
             allocated_bytes: 0,
+            released_bytes: 0,
             touched,
             dirty,
             planned: self.plan.is_some(),
@@ -1200,12 +1327,27 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         // shared blocks go to (pre-allocated) private copies, demoted
         // blocks stay on the slow path. Blocks the plan lists but the
         // region never touches stay identity/unwritten and merge as
-        // no-ops.
+        // no-ops. Shared blocks that form one contiguous run get the
+        // window, laid out before the copies are seeded, when they are at
+        // least half of the thread's planned blocks: with fewer, most
+        // applies would miss the window and pay its test on top of the
+        // table path.
+        let mut win = Window::NONE;
         if let Some(plan) = self.plan.as_deref() {
             if let Some(tb) = plan.thread_blocks(tid) {
                 for &b in &tb.exclusive {
                     table[b as usize] = core.direct_entry(b as usize);
                     core.touched.push(b);
+                }
+                if let (Some(&lo), Some(&last)) = (tb.shared.first(), tb.shared.last()) {
+                    let (lo, hi) = (lo as usize, last as usize + 1);
+                    // Sorted and unique: a run exactly when it has no gap.
+                    if hi - lo == tb.shared.len()
+                        && tb.shared.len() >= tb.exclusive.len() + tb.atomic.len()
+                        && core.arena.slots_are_contiguous()
+                    {
+                        win = core.run_window(lo, hi);
+                    }
                 }
                 for &b in &tb.shared {
                     table[b as usize] = core.private_copy(b as usize).as_ptr();
@@ -1219,6 +1361,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
             }
         }
         BlockView {
+            win,
             table,
             shift: self.shift,
             mask: self.mask,
@@ -1230,8 +1373,9 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         // Demoted-update buffers must drain before the barrier so the
         // epilogue (and the final array) see every contribution.
         view.core.flush_all_demoted();
-        // `allocated_bytes` counts only blocks newly privatized this
-        // region; retained ones are still accounted from their region.
+        // `allocated_bytes` counts only copies gained this region;
+        // retained ones are still accounted from their region.
+        self.mem.sub(view.core.released_bytes);
         self.mem.add(view.core.allocated_bytes);
         self.telem.record(tid, &view.core.counters);
         if view.core.deviated {
@@ -1585,6 +1729,171 @@ mod tests {
                 strategy.label()
             );
         }
+    }
+
+    /// The three block flavors at block size 64.
+    const FLAVORS_64: [crate::Strategy; 3] = [
+        crate::Strategy::BlockPrivate { block_size: 64 },
+        crate::Strategy::BlockLock { block_size: 64 },
+        crate::Strategy::BlockCas { block_size: 64 },
+    ];
+
+    /// Zeroes `out`, runs [`ApplyAll`] over `indices` as a two-iteration
+    /// `Kernel` region of `run_planned` (one iteration per thread of
+    /// `pool`), and checks that each index received exactly 2.
+    fn planned_apply_all(
+        ex: &mut crate::RegionExecutor<i64, Sum>,
+        pool: &ThreadPool,
+        out: &mut [i64],
+        indices: &'static [usize],
+    ) {
+        out.fill(0);
+        ex.run_planned(0, pool, out, 0..2, Schedule::default(), &ApplyAll(indices));
+        for (i, &x) in out.iter().enumerate() {
+            let want = if indices.contains(&i) { 2 } else { 0 };
+            assert_eq!(x, want, "{}: out[{i}]", ex.strategy().label());
+        }
+    }
+
+    #[test]
+    fn windowed_replay_panics_on_block_past_the_end() {
+        // Both threads touch both blocks of a len-100 array, so every
+        // replay gives each thread the shared run of blocks 0..2 and a
+        // window that ends at index 100. 130 lies in a third block,
+        // outside the window and past the table; without debug asserts
+        // only the table path's length check stops it.
+        let pool = ThreadPool::new(2);
+        for strategy in FLAVORS_64 {
+            let mut out = vec![0i64; 100];
+            let mut ex = crate::RegionExecutor::<i64, Sum>::new(strategy);
+            for _ in 0..2 {
+                planned_apply_all(&mut ex, &pool, &mut out, &[10, 90]);
+            }
+            assert_eq!(ex.planned_regions(), 1, "{}", strategy.label());
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let kernel = ApplyAll(&[10, 90, 130]);
+                ex.run_planned(0, &pool, &mut out, 0..2, Schedule::default(), &kernel);
+            }))
+            .is_err();
+            assert!(panicked, "{} accepted index 130", strategy.label());
+        }
+    }
+
+    #[test]
+    fn windowed_replay_outside_its_plan_is_exact_and_rerecords() {
+        // Blocks 0 and 1 are shared (a windowed run); 250 lies in block
+        // 3, outside the plan. The deviating replay privatizes it on the
+        // table path, stays exact, and records a plan that covers it,
+        // which the next region replays cleanly.
+        let pool = ThreadPool::new(2);
+        for strategy in FLAVORS_64 {
+            let mut out = vec![0i64; 300];
+            let mut ex = crate::RegionExecutor::<i64, Sum>::new(strategy);
+            for _ in 0..2 {
+                planned_apply_all(&mut ex, &pool, &mut out, &[10, 90]);
+            }
+            assert_eq!(ex.planned_regions(), 1, "{}", strategy.label());
+            planned_apply_all(&mut ex, &pool, &mut out, &[10, 90, 250]);
+            assert_eq!(ex.planned_regions(), 1, "{} deviated", strategy.label());
+            let plan = ex.shared().plans().lookup(0).0.expect("plan recorded");
+            for t in 0..2 {
+                let tb = plan.thread_blocks(t).unwrap();
+                assert_eq!(tb.shared, vec![0, 1, 3], "{}", strategy.label());
+            }
+            planned_apply_all(&mut ex, &pool, &mut out, &[10, 90, 250]);
+            assert_eq!(ex.planned_regions(), 2, "{} replays", strategy.label());
+        }
+    }
+
+    #[test]
+    fn first_windowed_replay_leaves_one_run_slab() {
+        // 63 blocks of 64 f64 (512 bytes), the last one partial; both
+        // threads touch every block, so the recording grows several
+        // doubling slabs and the plan shares the whole array.
+        let pool = ThreadPool::new(2);
+        let n: usize = 4000;
+        let run_bytes = n.div_ceil(64) * 64 * std::mem::size_of::<f64>();
+        let mut out = vec![0.0f64; n];
+        let mut red = BlockPrivateReduction::<f64, Sum>::new(&mut out, 2, 64);
+        let body = |v: &mut crate::CountedView<'_, _>, _: usize| {
+            for i in 0..n {
+                v.apply(i, 1.0);
+            }
+        };
+        let arenas = |red: &BlockPrivateReduction<'_, f64, Sum>| -> Vec<(usize, usize)> {
+            (0..2)
+                .map(|t| {
+                    // SAFETY: no region is active.
+                    let s = unsafe { red.slots.get(t) }.unwrap();
+                    (s.arena.slab_count(), s.arena.slab_bytes())
+                })
+                .collect()
+        };
+        reduce(&pool, &red, 0..2, Schedule::default(), body);
+        assert!(arenas(&red).iter().all(|&(slabs, _)| slabs > 1));
+        let plan = red.extract_plan();
+        assert!(red.install_plan(Arc::new(plan)));
+
+        // One replay driven by hand to read the windows: the run starts
+        // at 0 and the window ends at the array's end, not the padding's.
+        let views: Vec<_> = (0..2).map(|t| red.view(t)).collect();
+        for v in &views {
+            assert_eq!((v.win.start, v.win.len), (0, n));
+        }
+        for (t, v) in views.into_iter().enumerate() {
+            red.stash(t, v);
+        }
+        for t in 0..2 {
+            red.epilogue(t);
+        }
+        red.finish();
+        assert_eq!(arenas(&red), vec![(1, run_bytes); 2]);
+
+        // Later replays find the run in place.
+        reduce(&pool, &red, 0..2, Schedule::default(), body);
+        assert_eq!(arenas(&red), vec![(1, run_bytes); 2]);
+        assert!(!red.plan_deviated());
+        drop(red);
+        assert!(out.iter().all(|&x| x == 4.0));
+    }
+
+    #[test]
+    fn replay_window_needs_the_run_to_be_half_the_footprint() {
+        // Thread 0 touches blocks 0..=5, thread 1 blocks 5..=9: each has
+        // a one-block shared run beside four or five exclusive blocks, so
+        // neither replay view gets a window.
+        let pool = ThreadPool::new(2);
+        let mut out = vec![0i64; 640];
+        let mut red = BlockPrivateReduction::<i64, Sum>::new(&mut out, 2, 64);
+        let body = |v: &mut crate::CountedView<'_, _>, i: usize| {
+            for b in 0..5 {
+                v.apply((5 * i + b) * 64, 1);
+            }
+            v.apply(5 * 64 + i, 1);
+        };
+        reduce(&pool, &red, 0..2, Schedule::default(), body);
+        let plan = red.extract_plan();
+        assert_eq!(plan.shared_blocks(), 1);
+        assert!(red.install_plan(Arc::new(plan)));
+        let views: Vec<_> = (0..2).map(|t| red.view(t)).collect();
+        for v in &views {
+            assert_eq!(v.win.len, 0, "a one-block run among five blocks");
+        }
+        for (t, v) in views.into_iter().enumerate() {
+            red.stash(t, v);
+        }
+        for t in 0..2 {
+            red.epilogue(t);
+        }
+        red.finish();
+        reduce(&pool, &red, 0..2, Schedule::default(), body);
+        assert!(!red.plan_deviated());
+        drop(red);
+        // Two regions; index 320 is hit by both threads in each.
+        for b in (0..10).filter(|&b| b != 5) {
+            assert_eq!(out[b * 64], 2, "block {b}");
+        }
+        assert_eq!(out[320..323], [4, 2, 0]);
     }
 
     /// Iteration `i` adds the run `[1, 2, 3]` at `i..i + 3`.

@@ -159,3 +159,42 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
         );
     }
 }
+
+/// A replayed plan whose shared blocks form one contiguous run lays the
+/// run's private copies out in one slab on its first replay; the replays
+/// after it must reuse that slab, allocating nothing at all.
+#[test]
+fn warm_windowed_replays_allocate_nothing() {
+    let _guard = counting();
+    let n = 1 << 12;
+    let pool = ThreadPool::new(2);
+    let mut out = vec![0.0f64; n];
+    // Each of the two iterations, one per thread, adds 1 to every
+    // element: both threads touch every block of 64 f64 (512 bytes, so
+    // the arena packs the slots and the plan's shared run gets the
+    // window).
+    let touch_all = |v: &mut spray::CountedView<'_, _>, _: usize| {
+        for i in 0..n {
+            v.apply(i, 1.0);
+        }
+    };
+    let mut red = spray::BlockPrivateReduction::<f64, Sum>::new(&mut out, 2, 64);
+    spray::reduce(&pool, &red, 0..2, Schedule::default(), touch_all);
+    let plan = red.extract_plan();
+    assert_eq!(plan.shared_blocks(), n / 64, "every block is shared");
+    assert!(red.install_plan(std::sync::Arc::new(plan)));
+    // The first replay lays the run out.
+    spray::reduce(&pool, &red, 0..2, Schedule::default(), touch_all);
+    let before = memtrack::total_allocations();
+    for _ in 0..5 {
+        spray::reduce(&pool, &red, 0..2, Schedule::default(), touch_all);
+    }
+    let warm = memtrack::total_allocations() - before;
+    assert!(!red.plan_deviated());
+    drop(red);
+    assert!(
+        out.iter().all(|&x| x == 14.0),
+        "seven regions of two passes"
+    );
+    assert_eq!(warm, 0, "warm windowed replays allocated {warm} times");
+}

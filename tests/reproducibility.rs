@@ -22,7 +22,7 @@
 //! OpenMP (and the paper) explicitly permit.
 
 use ompsim::{Schedule, ThreadPool};
-use spray::{reduce_strategy, Kernel, ReducerView, Strategy, Sum};
+use spray::{reduce_strategy, Kernel, ReducerView, RegionExecutor, Strategy, Sum};
 
 /// Pathological float mix where reassociation is visible: alternating
 /// large/small magnitudes.
@@ -100,6 +100,25 @@ fn block_private_matches_dense_order_exactly() {
             iters,
         );
         assert_bitwise_eq(&blk, &dense, &format!("x{threads}"));
+        // Planned leg: a recording region, then two replays. Every thread
+        // touches all eight 64-byte blocks, so each replay combines into
+        // one contiguous run of private copies through the run window;
+        // each region must still match dense bit for bit.
+        let pool = ThreadPool::new(threads);
+        let mut ex = RegionExecutor::<f64, Sum>::new(Strategy::BlockPrivate { block_size: 8 });
+        for region in 0..3 {
+            let mut out = vec![0.0f64; n_out];
+            ex.run_planned(
+                0,
+                &pool,
+                &mut out,
+                0..iters,
+                Schedule::default(),
+                &TrickyScatter { n_out },
+            );
+            assert_bitwise_eq(&out, &dense, &format!("x{threads} planned region {region}"));
+        }
+        assert_eq!(ex.planned_regions(), 2, "x{threads}: both replays clean");
     }
 }
 
