@@ -55,18 +55,6 @@
 //!   poison-not-corrupt (pre-batch result intact) plus an exact
 //!   post-fault replay. The sweep fails if NO seed applied deltas or
 //!   retractions (the mode lost its teeth). Requires
-//!   `--features verify`;
-//! * `--numa N` — N seeds through the topology differential oracle:
-//!   each seed runs every strategy under a flat topology (checked
-//!   bit-exactly against the sequential loop) and under three emulated
-//!   sharded topologies (`1xT`, `2x⌈T/2⌉`, `Tx1`), recording plus a
-//!   planned replay per leg, and requires every sharded result
-//!   bit-identical to the flat control — topology may change routing,
-//!   merge schedules and arena placement, never results; then plants a
-//!   panic at a seed-chosen `ShardRoute` crossing (a keeper apply
-//!   routed to the *other* node) and requires poison-not-corrupt with
-//!   an exact unperturbed rerun. The sweep fails if NO seed routed a
-//!   cross-node contribution (the mode lost its teeth). Requires
 //!   `--features verify`.
 
 use spray::verify::OracleCfg;
@@ -88,7 +76,6 @@ struct FuzzOpts {
     arena: u64,
     service: u64,
     delta: u64,
-    numa: u64,
     quiet: bool,
 }
 
@@ -110,7 +97,6 @@ impl Default for FuzzOpts {
             arena: 0,
             service: 0,
             delta: 0,
-            numa: 0,
             quiet: false,
         }
     }
@@ -119,7 +105,7 @@ impl Default for FuzzOpts {
 const USAGE: &str = "usage: schedule_fuzz [--seed S | --seeds N --start S] [--threads T] \
 [--n N] [--updates U] [--block-size B] [--replays R] [--dynamic] [--no-floats] \
 [--broken] [--faults N] [--migrations N] [--arena N] [--service N] \
-[--delta N] [--numa N] [--quiet]";
+[--delta N] [--quiet]";
 
 fn parse_opts() -> FuzzOpts {
     let mut o = FuzzOpts::default();
@@ -175,7 +161,6 @@ fn parse_opts() -> FuzzOpts {
                     .expect("--service: u64")
             }
             "--delta" => o.delta = value(&mut args, "--delta").parse().expect("--delta: u64"),
-            "--numa" => o.numa = value(&mut args, "--numa").parse().expect("--numa: u64"),
             "--quiet" => o.quiet = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -607,71 +592,6 @@ fn delta_main(_o: &FuzzOpts) -> i32 {
     2
 }
 
-#[cfg(feature = "verify")]
-fn numa_main(o: &FuzzOpts) -> i32 {
-    use spray::verify::fuzz::{numa_case, numa_fault_case};
-    let mut bad = 0u64;
-    let mut routes = 0u64;
-    for seed in o.start..o.start + o.numa {
-        let outcome = numa_case(o.threads, seed);
-        routes += outcome.shard_routes;
-        match outcome.result {
-            Ok(()) => {
-                if !o.quiet {
-                    println!(
-                        "numa seed {seed}: sharded legs bit-identical to flat \
-                         ({} shard routes, {} preemptions)",
-                        outcome.shard_routes, outcome.preemptions
-                    );
-                }
-            }
-            Err(e) => {
-                bad += 1;
-                eprintln!("FAIL {e}");
-                eprintln!(
-                    "repro: cargo run --release -p bench --features verify --bin \
-                     schedule_fuzz -- --numa 1 --start {seed} --threads {}",
-                    o.threads
-                );
-            }
-        }
-        // A fault injected on a cross-node route must poison the region
-        // — never corrupt a neighbor's shard — and leave pool + executor
-        // able to produce exact results afterwards.
-        if let Err(e) = numa_fault_case(o.threads, seed) {
-            bad += 1;
-            eprintln!("FAIL numa fault seed {seed}: {e}");
-            eprintln!(
-                "repro: cargo run --release -p bench --features verify --bin \
-                 schedule_fuzz -- --numa 1 --start {seed} --threads {}",
-                o.threads
-            );
-        }
-    }
-    if bad > 0 {
-        eprintln!("numa fuzz: {bad} failure(s) over {} seed(s)", o.numa);
-        return 1;
-    }
-    if routes == 0 {
-        eprintln!(
-            "numa fuzz: {} seed(s) routed NO cross-node contributions — the mode lost its teeth",
-            o.numa
-        );
-        return 1;
-    }
-    println!(
-        "numa fuzz: {} seed(s) from {} clean ({routes} cross-node routes exercised, {} threads)",
-        o.numa, o.start, o.threads
-    );
-    0
-}
-
-#[cfg(not(feature = "verify"))]
-fn numa_main(_o: &FuzzOpts) -> i32 {
-    eprintln!("--numa requires --features verify");
-    2
-}
-
 #[cfg(not(feature = "verify"))]
 fn broken_main(_o: &FuzzOpts) -> i32 {
     eprintln!("--broken requires --features verify");
@@ -703,9 +623,6 @@ fn main() {
     }
     if o.delta > 0 {
         std::process::exit(delta_main(&o));
-    }
-    if o.numa > 0 {
-        std::process::exit(numa_main(&o));
     }
     let failures = sweep(&o);
     if failures > 0 {

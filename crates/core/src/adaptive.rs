@@ -76,13 +76,6 @@ pub struct AdaptiveConfig {
     /// Barrier fraction ([`crate::PhaseTimes::barrier_fraction`]) above
     /// which the current strategy is considered mismatched.
     pub barrier_limit: f64,
-    /// Remote-apply ratio ([`RegionSignals::remote_ratio`]) above which
-    /// the current strategy is considered mismatched: too much of the
-    /// update stream is crossing NUMA-node shard boundaries, so a
-    /// strategy that pays a remote CAS per crossing should yield to
-    /// keeper's queued routing (one batched hand-off per queue flush).
-    /// `0.0` disables the axis.
-    pub remote_limit: f64,
     /// Consecutive out-of-band regions required before migrating (the
     /// hysteresis depth; at least 1).
     pub patience: u32,
@@ -96,7 +89,6 @@ impl Default for AdaptiveConfig {
             sparse_applies_per_elem: 0.5,
             contention_limit: 0.05,
             barrier_limit: 0.5,
-            remote_limit: 0.25,
             patience: 3,
         }
     }
@@ -104,25 +96,21 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// A config whose organic migration decisions depend **only** on the
-    /// density signal (applies per element): the contention, barrier and
-    /// remote components are disabled by setting their limits to zero,
-    /// which the cost model treats as "never out of band on this axis".
+    /// density signal (applies per element): the contention and barrier
+    /// components are disabled by setting their limits to zero, which the
+    /// cost model treats as "never out of band on this axis".
     ///
     /// Density is a pure function of the workload, so under this config
     /// the whole migration sequence is deterministic for a fixed job
     /// stream — the envelope the differential verify oracles
     /// (`check_adaptive_seed`, the service fuzz case) need: timing-borne
     /// signals would let wall-clock noise change *which* strategies run,
-    /// and no seeded controller can replay that. The remote axis is
-    /// deterministic but *topology*-borne, and the NUMA oracle compares
-    /// sharded runs against a flat control — so it too must not steer
-    /// migrations here.
+    /// and no seeded controller can replay that.
     pub fn density_only(candidates: Vec<Strategy>) -> Self {
         AdaptiveConfig {
             candidates,
             contention_limit: 0.0,
             barrier_limit: 0.0,
-            remote_limit: 0.0,
             ..AdaptiveConfig::default()
         }
     }
@@ -150,12 +138,6 @@ pub struct RegionSignals {
     pub contention_ratio: f64,
     /// [`crate::PhaseTimes::barrier_fraction`] of the region.
     pub barrier_fraction: f64,
-    /// [`crate::Counters::remote_applies`] / total applies of the
-    /// region's totals: the fraction of updates that crossed a NUMA-node
-    /// shard boundary (remote CAS under [`Strategy::Atomic`], cross-node
-    /// forwards under [`Strategy::Keeper`]). Always `0.0` on a flat
-    /// topology.
-    pub remote_ratio: f64,
     /// A cached plan was replayed and deviated this region.
     pub deviated: bool,
     /// Region scratch bytes ([`crate::RunReport::scratch_bytes`]) over
@@ -198,9 +180,6 @@ pub fn score(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> f6
     if cfg.barrier_limit > 0.0 {
         worst = worst.max(sig.barrier_fraction / cfg.barrier_limit);
     }
-    if cfg.remote_limit > 0.0 {
-        worst = worst.max(sig.remote_ratio / cfg.remote_limit);
-    }
     // Scratch over budget is a mismatch on any strategy (already
     // normalized: 1.0 = exactly at the budget, 0.0 = unlimited).
     worst = worst.max(sig.scratch_pressure);
@@ -219,18 +198,6 @@ pub fn recommend(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -
     // Over the scratch budget: move to atomic, the zero-scratch strategy.
     if sig.scratch_pressure > 1.0 {
         if let Some(s) = pick(|s| matches!(s, Strategy::Atomic)) {
-            if s != current {
-                return s;
-            }
-        }
-    }
-    // Cross-node traffic dominates: route contributions through keeper
-    // queues (one batched hand-off per flush) instead of paying a remote
-    // CAS per apply. Checked before the sparse rule — a sparse scatter
-    // that is also remote-heavy must not land on atomic, the strategy
-    // whose per-apply remote cost triggered the migration.
-    if cfg.remote_limit > 0.0 && sig.remote_ratio > cfg.remote_limit {
-        if let Some(s) = pick(|s| matches!(s, Strategy::Keeper)) {
             if s != current {
                 return s;
             }
@@ -313,7 +280,6 @@ mod tests {
             applies_per_element: density,
             contention_ratio: 0.0,
             barrier_fraction: 0.0,
-            remote_ratio: 0.0,
             deviated: false,
             scratch_pressure: 0.0,
         }
@@ -356,7 +322,6 @@ mod tests {
             applies_per_element: 2.0,
             contention_ratio: 1.0,
             barrier_fraction: 1.0,
-            remote_ratio: 1.0,
             deviated: false,
             scratch_pressure: 0.0,
         };
@@ -364,41 +329,6 @@ mod tests {
         // The density axis still works both ways.
         assert!(score(bc, &sig(1.0 / 16.0), &cfg) > 1.0);
         assert!(score(Strategy::Atomic, &sig(16.0), &cfg) > 1.0);
-    }
-
-    #[test]
-    fn remote_traffic_breaks_band_and_routes_to_keeper() {
-        let cfg = AdaptiveConfig::default();
-        // A sparse scatter on atomic is in band — until most of it
-        // crosses node shards, at which point the remote term trips and
-        // the recommendation is keeper's queued routing, *not* atomic
-        // (whose per-apply remote CAS is the cost being fled) and not a
-        // privatizer (the stream is still sparse).
-        let mut s = sig(0.25);
-        assert!(score(Strategy::Atomic, &s, &cfg) <= 1.0);
-        s.remote_ratio = 0.6;
-        assert!(score(Strategy::Atomic, &s, &cfg) > 1.0);
-        assert_eq!(recommend(Strategy::Atomic, &s, &cfg), Strategy::Keeper);
-        // Keeper itself stays put: its crossings are already queued.
-        assert_eq!(recommend(Strategy::Keeper, &s, &cfg), Strategy::Keeper);
-        // density_only disables the axis (topology-borne signal).
-        let det = AdaptiveConfig::density_only(default_candidates(1024));
-        assert!(score(Strategy::Atomic, &s, &det) <= 1.0);
-        // Without a keeper candidate the rule falls through to the
-        // density rules, which keep the sparse stream where it is.
-        let no_keeper = AdaptiveConfig {
-            candidates: cfg
-                .candidates
-                .iter()
-                .copied()
-                .filter(|c| !matches!(c, Strategy::Keeper))
-                .collect(),
-            ..cfg.clone()
-        };
-        assert_eq!(
-            recommend(Strategy::Atomic, &s, &no_keeper),
-            Strategy::Atomic
-        );
     }
 
     #[test]
@@ -450,7 +380,6 @@ mod tests {
             applies_per_element: 2.0,
             contention_ratio: 0.2,
             barrier_fraction: 0.0,
-            remote_ratio: 0.0,
             deviated: false,
             scratch_pressure: 0.0,
         };
@@ -458,8 +387,12 @@ mod tests {
             recommend(Strategy::BlockCas { block_size: 1024 }, &contended, &cfg),
             bp
         );
-        // In-band signals recommend staying put.
+        // In-band signals recommend staying put, on both sides of the
+        // density band.
         assert_eq!(recommend(bp, &sig(8.0), &cfg), bp);
+        for in_place in [Strategy::Atomic, Strategy::Keeper] {
+            assert_eq!(recommend(in_place, &sig(0.25), &cfg), in_place);
+        }
         // Recommendations are drawn from the candidate list: with no
         // atomic/keeper candidate, a sparse privatizer stays put.
         let narrow = AdaptiveConfig {

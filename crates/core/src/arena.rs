@@ -7,7 +7,7 @@
 //! `aligned_alloc(256)` slabs so the merge loops run over full aligned
 //! cache lines. This module is that storage plane:
 //!
-//! * A [`BlockArena`] is **per thread, per region**: each view owns one,
+//! * A `BlockArena` is **per thread, per region**: each view owns one,
 //!   carves fixed-stride block slots out of contiguous slabs, and retains
 //!   it across regions through the existing scratch-retention path
 //!   ([`crate::BlockReduction::into_scratch`] and friends), so a warm
@@ -19,13 +19,12 @@
 //!   that privatizes all of its 1024 blocks gets 1024 slots, not the 2047
 //!   that doubling alone would carve.
 //! * Freed slabs (a dropped arena — strategy migration, mismatched
-//!   scratch, region teardown) are **recycled through an [`ArenaPool`]**
+//!   scratch, region teardown) are **recycled through an `ArenaPool`**
 //!   instead of returned to the allocator, so the next region's arenas
-//!   start warm even across strategies. By default every arena shares
-//!   one process-wide pool; the topology-aware executor keeps one pool
-//!   per NUMA node and pins each thread's arena to its node's pool.
+//!   start warm even across strategies. Every arena shares one
+//!   process-wide pool; only crate tests build a pool of their own.
 //! * A replayed region plan can ask for a **run**: `n` block slots back
-//!   to back at the start of one slab ([`BlockArena::lay_out_run`]), so
+//!   to back at the start of one slab (`BlockArena::lay_out_run`), so
 //!   a block view addresses a contiguous range of private copies from one
 //!   base pointer. An arena whose lone slab already holds `n` slots keeps
 //!   it and reassigns the slots in place. Any other arena frees its slabs
@@ -45,7 +44,7 @@
 //! base is at least cache-line aligned (and 256-byte aligned whenever the
 //! stride is a multiple of 256 — true for all power-of-two blocks of
 //! ≥ 256 bytes). Exotic element sizes fall back to element alignment,
-//! which is all the kernels require; [`BlockArena::alignment`] reports
+//! which is all the kernels require; `BlockArena::alignment` reports
 //! the actual guarantee.
 //!
 //! # Aliasing discipline
@@ -77,9 +76,8 @@ const MAX_SLAB_BLOCKS: usize = 1024;
 
 /// One raw slab allocation. Never moves once allocated; blocks carved
 /// from it stay valid until the arena drops. Remembers the [`ArenaPool`]
-/// it was drawn from and returns there on drop, so slabs recycled on a
-/// per-NUMA-node pool never migrate to another node's pool; a slab with
-/// no pool (a run slab, or one a run replaced) goes back to the allocator.
+/// it was drawn from and returns there on drop; a slab with no pool (a
+/// run slab, or one a run replaced) goes back to the allocator.
 struct Slab {
     ptr: NonNull<u8>,
     layout: Layout,
@@ -102,7 +100,7 @@ impl Drop for Slab {
     }
 }
 
-/// A raw pointer to one block slot inside a [`BlockArena`] slab.
+/// A raw pointer to one block slot inside a `BlockArena` slab.
 ///
 /// Deliberately a pointer, not a reference: the loop phase writes blocks
 /// through per-thread views while the merge phase reads (and refills)
@@ -136,7 +134,7 @@ impl<T: Element> BlockRef<T> {
 }
 
 /// Slab-backed allocator of fixed-size block copies; see the module docs.
-pub struct BlockArena<T> {
+pub(crate) struct BlockArena<T> {
     slabs: Vec<Slab>,
     /// Logical elements per block (what callers asked for).
     block_elems: usize,
@@ -173,10 +171,9 @@ impl<T: Element> BlockArena<T> {
     }
 
     /// Like [`BlockArena::new`], but drawing slabs from (and releasing
-    /// them back to) an explicit [`ArenaPool`] — the topology-aware
-    /// executor hands each NUMA node its own pool so first-touch private
-    /// blocks stay on the owning node's slabs.
-    pub fn with_pool(block_elems: usize, pool: Arc<ArenaPool>) -> Self {
+    /// them back to) `pool` — a test's private pool, so concurrently
+    /// running tests cannot take each other's recycled slabs.
+    pub(crate) fn with_pool(block_elems: usize, pool: Arc<ArenaPool>) -> Self {
         assert!(block_elems > 0, "arena block length must be > 0");
         let size = std::mem::size_of::<T>();
         // Pad the stride so consecutive blocks start on cache-line
@@ -209,12 +206,6 @@ impl<T: Element> BlockArena<T> {
         self
     }
 
-    /// Logical elements per block.
-    #[inline]
-    pub fn block_elems(&self) -> usize {
-        self.block_elems
-    }
-
     /// The alignment guarantee (in bytes) of every block this arena hands
     /// out: 256 for strides that are multiples of 256, otherwise the
     /// largest power of two dividing both the stride and [`SLAB_ALIGN`].
@@ -230,7 +221,8 @@ impl<T: Element> BlockArena<T> {
     }
 
     /// Total slab bytes currently owned by this arena.
-    pub fn slab_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn slab_bytes(&self) -> usize {
         self.slab_bytes
     }
 
@@ -379,12 +371,9 @@ const MAX_POOLED_BYTES: usize = 64 << 20;
 /// trivially sound; each pool is bounded so pathological layout churn
 /// degrades to plain allocation, never unbounded growth.
 ///
-/// There is one process-wide pool used by default ([`BlockArena::new`],
-/// [`AlignedBuf`]), and the topology-aware executor additionally keeps
-/// **one pool per emulated NUMA node** so a node's arenas only ever
-/// recycle slabs first-touched by that node's threads — slabs carry
-/// their owning pool ([`Slab`]) and return there on drop, never to
-/// another node's pool.
+/// There is one process-wide pool ([`BlockArena::new`], [`AlignedBuf`]).
+/// Slabs carry their owning pool ([`Slab`]) and return there on drop, so
+/// a crate test can give its arenas a private pool.
 ///
 /// # Concurrent executor sessions
 ///
@@ -411,23 +400,9 @@ const MAX_POOLED_BYTES: usize = 64 << 20;
 /// Recycling is disabled under Miri: a static cache would be reported as
 /// a leak, and the allocation path itself is exactly what Miri should
 /// see.
-pub struct ArenaPool {
+pub(crate) struct ArenaPool {
     #[cfg(not(miri))]
     entries: std::sync::Mutex<Vec<Entry>>,
-}
-
-impl Default for ArenaPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for ArenaPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArenaPool")
-            .field("pooled_bytes", &self.pooled_bytes())
-            .finish()
-    }
 }
 
 impl ArenaPool {
@@ -440,7 +415,8 @@ impl ArenaPool {
     }
 
     /// Bytes currently held in the pool awaiting reuse.
-    pub fn pooled_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pooled_bytes(&self) -> usize {
         #[cfg(not(miri))]
         {
             let pool = self.entries.lock().unwrap_or_else(|e| e.into_inner());
@@ -488,8 +464,8 @@ impl ArenaPool {
 
 #[cfg(not(miri))]
 impl Drop for ArenaPool {
-    /// Frees the pooled slabs: a per-node pool dropped with its executor
-    /// state would otherwise leak them.
+    /// Frees the pooled slabs: a test's private pool would otherwise leak
+    /// them.
     fn drop(&mut self) {
         let entries = self.entries.get_mut().unwrap_or_else(|e| e.into_inner());
         for e in entries.drain(..) {
@@ -631,7 +607,7 @@ mod tests {
     #[test]
     fn odd_block_lengths_pad_but_report_logical_len() {
         let mut arena = BlockArena::<f64>::new(100); // not a power of two
-        assert_eq!(arena.block_elems(), 100);
+        assert_eq!(arena.block_elems, 100);
         let blk = arena.alloc_identity::<Sum>();
         assert_eq!((blk.as_ptr() as usize) % arena.alignment(), 0);
         // SAFETY: fresh block.
@@ -750,32 +726,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[cfg(not(miri))]
-    #[test]
-    fn per_node_pools_never_exchange_slabs() {
-        // Slabs drawn from pool A must be recycled into pool A and never
-        // become visible to pool B — the first-touch placement invariant
-        // the sharded executor relies on.
-        let pool_a = Arc::new(ArenaPool::new());
-        let pool_b = Arc::new(ArenaPool::new());
-
-        let mut arena = BlockArena::<u64>::with_pool(512, pool_a.clone());
-        let blk = arena.alloc_identity::<Sum>();
-        let _ = blk;
-        let slab_layout = arena.slabs[0].layout;
-        drop(arena); // slab returns to pool_a
-
-        assert!(pool_a.pooled_bytes() > 0, "slab must recycle into its pool");
-        assert_eq!(pool_b.pooled_bytes(), 0, "foreign pool must stay empty");
-        assert!(
-            pool_b.acquire(slab_layout).is_none(),
-            "pool B must never see pool A's slab"
-        );
-        let got = pool_a.acquire(slab_layout).expect("pool A recycles it");
-        // SAFETY: we own it again; free for real.
-        unsafe { std::alloc::dealloc(got.as_ptr(), slab_layout) };
     }
 
     #[cfg(not(miri))]

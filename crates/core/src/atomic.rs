@@ -14,9 +14,8 @@
 
 use crate::elem::{AtomicElement, ReduceOp};
 use crate::reducer::{ReducerView, Reduction};
-use crate::shared::{node_shard, SharedSlice};
+use crate::shared::SharedSlice;
 use crate::telemetry::{Counters, Telemetry, TelemetryBoard};
-use ompsim::Topology;
 use std::marker::PhantomData;
 
 /// Atomically-updating reducer; see the module docs.
@@ -24,12 +23,6 @@ pub struct AtomicReduction<'a, T: AtomicElement, O: ReduceOp<T>> {
     out: SharedSlice<T>,
     nthreads: usize,
     telem: TelemetryBoard,
-    /// Machine topology the output is sharded over; an atomic RMW landing
-    /// outside the applying thread's node shard is a *remote CAS* and is
-    /// counted as `remote_applies` (the event the adaptive policy's
-    /// remote term reads to migrate this strategy toward Keeper's queued
-    /// routing). Results never depend on it.
-    topo: Topology,
     _borrow: PhantomData<&'a mut [T]>,
     _op: PhantomData<O>,
 }
@@ -52,20 +45,11 @@ impl<'a, T: AtomicElement, O: ReduceOp<T>> AtomicReduction<'a, T, O> {
     /// assert!(out.iter().all(|&x| x == 1000));
     /// ```
     pub fn new(out: &'a mut [T], nthreads: usize) -> Self {
-        Self::with_topology(out, nthreads, Topology::flat(nthreads))
-    }
-
-    /// Like [`AtomicReduction::new`], but aware of `topo`: applies whose
-    /// target lies outside the calling thread's node shard count as
-    /// `remote_applies`. On the flat topology the shard is the whole
-    /// array, so the count stays zero.
-    pub fn with_topology(out: &'a mut [T], nthreads: usize, topo: Topology) -> Self {
         assert!(nthreads > 0);
         AtomicReduction {
             out: SharedSlice::new(out),
             nthreads,
             telem: TelemetryBoard::new(nthreads),
-            topo,
             _borrow: PhantomData,
             _op: PhantomData,
         }
@@ -75,12 +59,6 @@ impl<'a, T: AtomicElement, O: ReduceOp<T>> AtomicReduction<'a, T, O> {
 /// Per-thread view: just the shared array; every `apply` is atomic.
 pub struct AtomicView<T, O> {
     out: SharedSlice<T>,
-    /// The applying thread's node shard `[lo, hi)`; an update outside it
-    /// is a remote CAS. `(0, len)` on the flat topology, so the hot-path
-    /// branch is perfectly predicted there.
-    shard_lo: usize,
-    shard_hi: usize,
-    remote_applies: u64,
     _op: PhantomData<O>,
 }
 
@@ -88,9 +66,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> ReducerView<T> for AtomicView<T, O> {
     #[inline(always)]
     fn apply(&mut self, i: usize, v: T) {
         assert!(i < self.out.len(), "reduction index {i} out of bounds");
-        if i < self.shard_lo || i >= self.shard_hi {
-            self.remote_applies += 1;
-        }
         // SAFETY: in-bounds (checked above); all loop-phase accesses to the
         // array in this strategy are atomic.
         unsafe { self.out.combine_atomic::<O>(i, v) };
@@ -100,33 +75,14 @@ impl<T: AtomicElement, O: ReduceOp<T>> ReducerView<T> for AtomicView<T, O> {
 impl<T: AtomicElement, O: ReduceOp<T>> Reduction<T> for AtomicReduction<'_, T, O> {
     type View = AtomicView<T, O>;
 
-    fn view(&self, tid: usize) -> AtomicView<T, O> {
-        let (shard_lo, shard_hi) = node_shard(
-            self.topo.node_of(tid),
-            &self.topo,
-            self.nthreads,
-            self.out.len(),
-        );
+    fn view(&self, _tid: usize) -> AtomicView<T, O> {
         AtomicView {
             out: self.out,
-            shard_lo,
-            shard_hi,
-            remote_applies: 0,
             _op: PhantomData,
         }
     }
 
-    fn stash(&self, tid: usize, view: AtomicView<T, O>) {
-        if view.remote_applies > 0 {
-            self.telem.record(
-                tid,
-                &Counters {
-                    remote_applies: view.remote_applies,
-                    ..Counters::default()
-                },
-            );
-        }
-    }
+    fn stash(&self, _tid: usize, _view: AtomicView<T, O>) {}
 
     fn epilogue(&self, _tid: usize) {}
 
@@ -201,41 +157,6 @@ mod tests {
             v.apply(i, 2.0);
         });
         assert_eq!(red.memory_overhead(), 0);
-    }
-
-    #[test]
-    fn remote_applies_counts_cross_shard_cas_only() {
-        let pool = ThreadPool::new(4);
-        let n = 1000;
-
-        // Flat: the shard is the whole array; nothing is remote.
-        let mut out = vec![0i64; n];
-        let red = AtomicReduction::<i64, Sum>::new(&mut out, 4);
-        reduce(&pool, &red, 0..n, Schedule::default(), |v, i| {
-            v.apply((i + n / 2) % n, 1);
-        });
-        assert_eq!(red.telemetry().totals().remote_applies, 0);
-        drop(red);
-        let flat = out;
-
-        // Sharded 2x2: the mirror scatter always lands on the other node,
-        // and the result is still bit-identical to the flat run.
-        let mut out = vec![0i64; n];
-        let red = AtomicReduction::<i64, Sum>::with_topology(&mut out, 4, Topology::new(2, 2));
-        reduce(&pool, &red, 0..n, Schedule::default(), |v, i| {
-            v.apply((i + n / 2) % n, 1);
-        });
-        assert_eq!(red.telemetry().totals().remote_applies, n as u64);
-        drop(red);
-        assert_eq!(out, flat);
-
-        // In-shard updates are never remote, sharded or not.
-        let mut out = vec![0i64; n];
-        let red = AtomicReduction::<i64, Sum>::with_topology(&mut out, 4, Topology::new(2, 2));
-        reduce(&pool, &red, 0..n, Schedule::default(), |v, i| {
-            v.apply(i, 1);
-        });
-        assert_eq!(red.telemetry().totals().remote_applies, 0);
     }
 
     #[test]

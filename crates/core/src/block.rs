@@ -99,23 +99,20 @@
 //! During the loop phase a block of the original array is written only by
 //! its unique owner (lock/CAS flavors) and all other contributions go to
 //! private copies. After the team barrier, private copies of block `b` are
-//! merged by a single thread — `b % nthreads == tid` on a flat topology,
-//! or on a sharded [`ompsim::Topology`] a thread of the node whose shard
-//! holds the block (round-robin within the node; see
-//! `BlockReduction::merge_owner`) — in ascending thread order; owners no
-//! longer write. Either way the merger is a pure function of `b`, so no
-//! location is ever written by two threads without intervening
+//! merged by a single thread — the unplanned epilogue's `b % nthreads`,
+//! or the one merger a plan's schedule names — in ascending thread order;
+//! owners no longer write. Either way the merger is a pure function of
+//! `b`, so no location is ever written by two threads without intervening
 //! synchronization.
 
-use crate::arena::{ArenaPool, BlockArena, BlockRef};
+use crate::arena::{BlockArena, BlockRef};
 use crate::elem::{Element, ReduceOp};
 use crate::kernels;
 use crate::plan::RegionPlan;
 use crate::reducer::{ReducerView, Reduction};
-use crate::shared::{owner_of, CachePadded, MemCounter, SharedSlice, Slots};
+use crate::shared::{CachePadded, MemCounter, SharedSlice, Slots};
 use crate::strategy::Kernel;
 use crate::telemetry::{Counters, Telemetry, TelemetryBoard};
-use ompsim::Topology;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -316,10 +313,21 @@ impl<T: Element> ViewScratch<T> {
     const BYTES_PER_BLOCK: usize =
         std::mem::size_of::<*mut T>() + std::mem::size_of::<Option<BlockRef<T>>>();
 
-    /// Nulls the entries of the last region's touched blocks.
-    fn reset_table(&mut self) {
+    /// Nulls the entries of the last region's touched blocks. Scratch
+    /// leaving its reduction passes `refill = Some(block_size)`: a copy
+    /// still live then belongs to a region that unwound before its merge
+    /// epilogue, and is refilled with the identity first, because the
+    /// next region treats every held copy as identity. After a normal
+    /// `finish` no entry is live, so nothing is refilled.
+    fn reset_table<O: ReduceOp<T>>(&mut self, refill: Option<usize>) {
         for &b in &self.touched {
-            self.table[b as usize] = std::ptr::null_mut();
+            let b = b as usize;
+            if let (Some(n), Some(blk)) = (refill, self.live_copy(b)) {
+                // SAFETY: copies are allocated at the full block size,
+                // and no region is active, so the copy is ours alone.
+                unsafe { kernels::refill_into::<T, O>(blk.as_ptr(), n) };
+            }
+            self.table[b] = std::ptr::null_mut();
         }
     }
 
@@ -369,14 +377,6 @@ pub struct BlockReduction<'a, T: Element, O: ReduceOp<T>, W: Ownership> {
     /// is never reset because the executor builds a fresh reduction (over
     /// retained scratch) per region.
     deviated: AtomicBool,
-    /// Machine topology: steers the unplanned epilogue's merge-owner
-    /// assignment (node-local) and, with `node_pools`, first-touch arena
-    /// placement. Flat by default; results never depend on it.
-    topo: Topology,
-    /// Per-node arena slab pools (index = node id), set by the executor
-    /// on sharded topologies via [`BlockReduction::set_node_pools`].
-    /// Empty means every fresh arena uses the process-wide pool.
-    node_pools: Vec<Arc<ArenaPool>>,
     _borrow: PhantomData<&'a mut [T]>,
     _op: PhantomData<O>,
 }
@@ -508,48 +508,9 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
             plan: None,
             stripes: Vec::new(),
             deviated: AtomicBool::new(false),
-            topo: Topology::flat(nthreads),
-            node_pools: Vec::new(),
             _borrow: PhantomData,
             _op: PhantomData,
         }
-    }
-
-    /// Makes the reduction topology-aware: fresh per-thread arenas draw
-    /// slabs from `pools[node_of(tid)]` (first-touch placement on the
-    /// owning node's pool) and the unplanned epilogue assigns each
-    /// block's merge to a thread of the node whose shard holds it.
-    /// `pools` must have one entry per node of `topo`. Purely a placement
-    /// and scheduling hint — results are bit-identical with or without
-    /// it. Retained scratch arenas keep their original pool (slabs
-    /// always recycle to the pool they came from).
-    pub fn set_node_pools(&mut self, topo: Topology, pools: Vec<Arc<ArenaPool>>) {
-        assert_eq!(
-            pools.len(),
-            topo.nodes(),
-            "one arena pool per topology node"
-        );
-        self.topo = topo;
-        self.node_pools = pools;
-    }
-
-    /// The thread that merges block `b` in the unplanned epilogue: a
-    /// thread of the node whose shard holds the block's elements,
-    /// round-robin within that node. On a flat topology this is exactly
-    /// the historical `b % nthreads`. A pure function of `b`, so each
-    /// block has one unique merger (the safety protocol's requirement).
-    #[inline]
-    fn merge_owner(&self, b: usize) -> usize {
-        if self.topo.is_flat() {
-            return b % self.nthreads;
-        }
-        // The block's first element is in bounds for every existing block.
-        let node = self
-            .topo
-            .node_of(owner_of(b << self.shift, self.nthreads, self.out.len()));
-        let tids = self.topo.node_threads(node, self.nthreads);
-        debug_assert!(!tids.is_empty(), "owner's node always has its tid");
-        tids.start + (b % tids.len())
     }
 
     /// The effective block size (requested size rounded up to a power of
@@ -576,9 +537,10 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
                     // SAFETY: `self` is owned; no region is active.
                     let mut s = unsafe { self.slots.take(t) };
                     // A region that unwound skipped `finish`: no entry may
-                    // outlive the array it points into.
+                    // outlive the array it points into, and no copy may
+                    // carry its contributions into the next region.
                     if let Some(s) = &mut s {
-                        s.reset_table();
+                        s.reset_table::<O>(Some(self.block_size()));
                     }
                     s
                 })
@@ -666,13 +628,7 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
             // SAFETY: `&mut self` — no region is active, slots are ours.
             .map(|t| unsafe { self.slots.get(t) }.map_or(Vec::new(), |s| s.touched.clone()))
             .collect();
-        RegionPlan::for_blocks_on(
-            self.out.len(),
-            self.nthreads,
-            self.block_size(),
-            &touched,
-            self.topo,
-        )
+        RegionPlan::for_blocks(self.out.len(), self.nthreads, self.block_size(), &touched)
     }
 }
 
@@ -1276,17 +1232,11 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                 // is carved on the first fallback privatization.
                 self.mem
                     .add(self.nblocks * ViewScratch::<T>::BYTES_PER_BLOCK);
-                // First-touch placement: on a sharded topology the fresh
-                // arena draws slabs from the thread's node pool.
-                let arena = match self.node_pools.get(self.topo.node_of(tid)) {
-                    Some(pool) => BlockArena::with_pool(self.mask + 1, pool.clone()),
-                    None => BlockArena::new(self.mask + 1),
-                };
                 ViewScratch {
                     table: vec![std::ptr::null_mut(); self.nblocks],
                     blocks: (0..self.nblocks).map(|_| None).collect(),
                     // A view privatizes each block at most once.
-                    arena: arena.capped(self.nblocks),
+                    arena: BlockArena::new(self.mask + 1).capped(self.nblocks),
                     touched: Vec::new(),
                     dirty: Vec::new(),
                 }
@@ -1401,11 +1351,10 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         // a copy this region, instead of probing all nblocks × nthreads
         // slots. With a clean plan the schedule is the plan's (balanced by
         // copy count); otherwise each thread walks the team's dirty lists
-        // and merges the blocks it owns (`merge_owner(b) == tid`, which is
-        // `b % nthreads` on a flat topology — the same assignment the
-        // dense probe used — and node-local on a sharded one). Either way,
-        // for a fixed block the contributions merge in ascending thread
-        // order, matching the dense strategy's order.
+        // and merges the blocks it owns (`b % nthreads == tid`, the same
+        // assignment the dense probe used). Either way, for a fixed block
+        // the contributions merge in ascending thread order, matching the
+        // dense strategy's order.
         let mut merged_elems = 0u64;
         let clean_plan = self
             .plan
@@ -1464,15 +1413,15 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                 };
                 for &b in &scratch.dirty {
                     let b = b as usize;
-                    if self.merge_owner(b) != tid {
+                    if b % self.nthreads != tid {
                         continue;
                     }
                     ompsim::verify::perturb_idx(ompsim::verify::HookPoint::MergeStep, b as u64);
                     let range = self.block_range(b);
                     let blk = scratch.blocks[b].unwrap();
                     // SAFETY: block `b` is merged (and refilled) only by
-                    // this thread — `merge_owner(b)` is a pure function
-                    // of `b`, partitioning the dirty lists — and owners
+                    // this thread — `b % nthreads` is a pure function of
+                    // `b`, partitioning the dirty lists — and owners
                     // stopped writing at the barrier.
                     #[cfg(not(feature = "verify"))]
                     unsafe {
@@ -1513,7 +1462,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         for t in 0..self.nthreads {
             // SAFETY: single-threaded after the region.
             if let Some(mut s) = unsafe { self.slots.take(t) } {
-                s.reset_table();
+                s.reset_table::<O>(None);
                 unsafe { self.slots.put(t, s) };
             }
         }
@@ -2072,32 +2021,54 @@ mod tests {
 
     #[test]
     fn scratch_of_unwound_region_reattaches_cleanly() {
-        // Thread 0 panics mid-loop; thread 1 has already claimed block 3
+        // Thread 0 panics mid-loop; thread 1 has already resolved block 3
         // of `a` and stashed its view before the barrier aborts, so
-        // `finish` never nulls its table entry. Detaching must, or the
+        // neither the epilogue nor `finish` runs. Block-CAS claimed the
+        // block in place: detaching must null its table entry, or the
         // next region over `b` would write block 3 into `a`.
-        let pool = ThreadPool::new(2);
-        let mut a = vec![0i64; 256];
-        let mut b = vec![0i64; 256];
-        let red = BlockCasReduction::<i64, Sum>::new(&mut a, 2, 64);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            reduce(&pool, &red, 0..2, Schedule::default(), |v, i| {
-                assert!(i != 0, "planted failure");
-                v.apply(200, 1);
+        // Block-private holds the update in a private copy: detaching
+        // must refill it, or the next region would fold it into `b` as if
+        // the copy were the identity.
+        fn unwind_then_reattach<W: Ownership>(flavor: &'static str) -> (Vec<i64>, Vec<i64>) {
+            let pool = ThreadPool::new(2);
+            let mut a = vec![0i64; 256];
+            let mut b = vec![0i64; 256];
+            let red = BlockReduction::<i64, Sum, W>::with_flavor(&mut a, 2, 64, flavor);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                reduce(&pool, &red, 0..2, Schedule::default(), |v, i| {
+                    assert!(i != 0, "planted failure");
+                    v.apply(200, 1);
+                });
+            }));
+            assert!(r.is_err());
+            let scratch = red.into_scratch();
+
+            let red = BlockReduction::<i64, Sum, W>::from_scratch(&mut b, 2, 64, scratch);
+            reduce(&pool, &red, 0..256, Schedule::default(), |v, i| {
+                v.apply(i, 1);
             });
-        }));
-        assert!(r.is_err());
-        let scratch = red.into_scratch();
+            drop(red);
+            (a, b)
+        }
 
-        let red = BlockCasReduction::<i64, Sum>::from_scratch(&mut b, 2, 64, scratch);
-        reduce(&pool, &red, 0..256, Schedule::default(), |v, i| {
-            v.apply(i, 1);
-        });
-        drop(red);
-
-        assert!(b.iter().all(|&x| x == 1));
-        for (i, &x) in a.iter().enumerate() {
-            assert_eq!(x, i64::from(i == 200), "a[{i}]");
+        for (flavor, (a, b), a200) in [
+            (
+                "block-CAS",
+                unwind_then_reattach::<CasOwnershipSeal>("block-CAS"),
+                1,
+            ),
+            (
+                "block-private",
+                unwind_then_reattach::<NoOwnershipSeal>("block-private"),
+                0,
+            ),
+        ] {
+            for (i, &x) in b.iter().enumerate() {
+                assert_eq!(x, 1, "{flavor}: b[{i}]");
+            }
+            for (i, &x) in a.iter().enumerate() {
+                assert_eq!(x, if i == 200 { a200 } else { 0 }, "{flavor}: a[{i}]");
+            }
         }
     }
 

@@ -20,7 +20,6 @@
 //!   [`RunReport`].
 
 use crate::adaptive::{recommend, score, AdaptiveState, ExecutorPolicy, RegionSignals};
-use crate::arena::ArenaPool;
 use crate::atomic::AtomicReduction;
 use crate::block::{
     BlockCasReduction, BlockCasScratch, BlockLockReduction, BlockLockScratch,
@@ -39,7 +38,7 @@ use ompsim::{Schedule, ThreadPool};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// State an executor may share with concurrent sessions: the region-plan
@@ -80,13 +79,6 @@ pub struct ExecutorShared {
     batched_regions: AtomicU64,
     /// Cumulative queue wait (nanoseconds) of admitted jobs.
     queue_wait_nanos: AtomicU64,
-    /// Per-NUMA-node arena slab pools (index = node id), grown on demand
-    /// to the widest topology any session has run under. Sessions on a
-    /// sharded [`ompsim::Topology`] pin each thread's block arena to its
-    /// node's pool, so first-touch private blocks recycle node-locally;
-    /// flat sessions never touch this and keep using the process-wide
-    /// pool.
-    node_pools: Mutex<Vec<Arc<ArenaPool>>>,
 }
 
 impl ExecutorShared {
@@ -128,22 +120,6 @@ impl ExecutorShared {
     /// Cumulative queue wait of admitted jobs, in seconds.
     pub fn queue_wait_secs(&self) -> f64 {
         self.queue_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// The per-node slab pools for a `nodes`-wide topology, growing the
-    /// shared table on demand. Returned `Arc`s are clones — cheap to
-    /// hand to a reducer, and every session on this shared state sees
-    /// the same pool for a given node id (that is the point: slabs
-    /// first-touched on a node recycle to that node's next arena).
-    ///
-    /// Leaf lock, like everything else here: held only to clone the
-    /// handles, never while allocating or while any other lock is held.
-    pub fn node_pools(&self, nodes: usize) -> Vec<Arc<ArenaPool>> {
-        let mut pools = self.node_pools.lock().unwrap_or_else(|e| e.into_inner());
-        while pools.len() < nodes {
-            pools.push(Arc::new(ArenaPool::new()));
-        }
-        pools[..nodes].to_vec()
     }
 }
 
@@ -502,14 +478,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                     $Scratch(s) => $Red::<T, O>::from_scratch(out, n, $bs, s),
                     _ => $Red::<T, O>::new(out, n, $bs),
                 };
-                // Sharded topology: pin each thread's fresh block arena
-                // to its node's slab pool (first-touch placement) and
-                // make merge schedules node-local. Flat pools keep the
-                // default process-wide arena pool and flat schedules.
-                let topo = pool.topology();
-                if !topo.is_flat() {
-                    red.set_node_pools(topo, self.shared.node_pools(topo.nodes()));
-                }
                 let (cached, epoch) = match region {
                     Some(id) => self.shared.plans.lookup(id),
                     None => (None, 0),
@@ -552,11 +520,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             Strategy::Dense => fresh!(DenseReduction::<T, O>::new(out, n)),
             Strategy::MapBTree => fresh!(BTreeMapReduction::<T, O>::new(out, n)),
             Strategy::MapHash => fresh!(HashMapReduction::<T, O>::new(out, n)),
-            Strategy::Atomic => fresh!(AtomicReduction::<T, O>::with_topology(
-                out,
-                n,
-                pool.topology()
-            )),
+            Strategy::Atomic => fresh!(AtomicReduction::<T, O>::new(out, n)),
             Strategy::BlockPrivate { block_size } => {
                 block!(BlockPrivateReduction, RetainedScratch::Private, block_size)
             }
@@ -567,7 +531,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                 block!(BlockCasReduction, RetainedScratch::Cas, block_size)
             }
             Strategy::Keeper => {
-                let mut red = KeeperReduction::<T, O>::with_topology(out, n, pool.topology());
+                let mut red = KeeperReduction::<T, O>::new(out, n);
                 let (cached, epoch) = match region {
                     Some(id) => self.shared.plans.lookup(id),
                     None => (None, 0),
@@ -605,8 +569,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         } else {
             self.budget.max_scratch_bytes
         };
-        report.remote_applies = report.counters.totals().remote_applies;
-        report.node_shards = pool.topology().nodes() as u64;
         self.adaptive_step(&report, out.len(), replay_deviated);
         report.plan_build_secs = self.shared.plans.plan_build_secs();
         report.planned_regions = self.shared.plans.planned_regions();
@@ -709,10 +671,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             delta_regions: self.delta_regions,
             dirty_blocks: self.dirty_blocks,
             retractions: self.retractions,
-            // Delta staging/commit is node-oblivious (the mirror is
-            // thread-private); report the topology's shard count only.
-            remote_applies: 0,
-            node_shards: pool.topology().nodes() as u64,
             counters,
             phases,
             merge_bandwidth,
@@ -777,11 +735,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                 },
                 contention_ratio: totals.contention_ratio(),
                 barrier_fraction: report.phases.barrier_fraction(),
-                remote_ratio: if totals.applies == 0 {
-                    0.0
-                } else {
-                    totals.remote_applies as f64 / totals.applies as f64
-                },
                 deviated,
                 scratch_pressure: if report.budget_bytes == 0 {
                     0.0
@@ -854,8 +807,6 @@ where
         delta_regions: 0,
         dirty_blocks: 0,
         retractions: 0,
-        remote_applies: 0,
-        node_shards: 0,
         counters,
         phases,
         merge_bandwidth,

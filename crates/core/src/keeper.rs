@@ -26,7 +26,6 @@ use crate::plan::RegionPlan;
 use crate::reducer::{ReducerView, Reduction};
 use crate::shared::{chunk_of, owner_of, MemCounter, SharedSlice};
 use crate::telemetry::{Counters, Telemetry, TelemetryBoard};
-use ompsim::Topology;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -78,12 +77,6 @@ pub struct KeeperReduction<'a, T: Element, O: ReduceOp<T>> {
     /// (it pre-sizes queues — there is no deviation concept, a region
     /// whose traffic differs just grows the queues as usual).
     plan_counts: Vec<AtomicU32>,
-    /// The machine topology ownership is sharded over. Ownership itself is
-    /// unchanged — the node shard is the union of the node's (contiguous)
-    /// tids' chunks, so element→owner is identical to flat — but crossing
-    /// a shard boundary is counted as a `remote_applies` event and hooked
-    /// at [`ompsim::verify::HookPoint::ShardRoute`].
-    topo: Topology,
     _borrow: PhantomData<&'a mut [T]>,
     _op: PhantomData<O>,
 }
@@ -109,15 +102,6 @@ impl<'a, T: Element, O: ReduceOp<T>> KeeperReduction<'a, T, O> {
     /// assert_eq!(out[50], 1.0);
     /// ```
     pub fn new(out: &'a mut [T], nthreads: usize) -> Self {
-        Self::with_topology(out, nthreads, Topology::flat(nthreads))
-    }
-
-    /// Like [`KeeperReduction::new`], but sharded over `topo`: queue
-    /// traffic that crosses a NUMA-node boundary is counted as
-    /// `remote_applies`. Results are bit-identical to the flat
-    /// construction — ownership and drain order do not depend on the
-    /// topology (the differential fuzz oracle asserts exactly this).
-    pub fn with_topology(out: &'a mut [T], nthreads: usize, topo: Topology) -> Self {
         assert!(nthreads > 0);
         KeeperReduction {
             out: SharedSlice::new(out),
@@ -128,7 +112,6 @@ impl<'a, T: Element, O: ReduceOp<T>> KeeperReduction<'a, T, O> {
             plan_counts: (0..nthreads * nthreads)
                 .map(|_| AtomicU32::new(0))
                 .collect(),
-            topo,
             _borrow: PhantomData,
             _op: PhantomData,
         }
@@ -176,11 +159,6 @@ pub struct KeeperView<T: Element, O> {
     /// Plain per-view counter, published to the padded board at stash.
     /// (Applies are counted by the driver's `CountedView` instead.)
     remote_enqueues: u64,
-    /// The machine topology and this thread's node under it; forwarded
-    /// updates whose owner lives on another node bump `remote_applies`.
-    topo: Topology,
-    node: usize,
-    remote_applies: u64,
     _op: PhantomData<O>,
 }
 
@@ -195,18 +173,6 @@ impl<T: Element, O: ReduceOp<T>> ReducerView<T> for KeeperView<T, O> {
         } else {
             self.remote_enqueues += 1;
             let owner = owner_of(i, self.nthreads, self.out.len());
-            let owner_node = self.topo.node_of(owner);
-            if owner_node != self.node {
-                // Cross-node routing: counted (drives the adaptive remote
-                // term and the `numa_shift` A/B) and hooked strictly
-                // before the queue push so a planted misroute fault fires
-                // only on shard-crossing traffic.
-                self.remote_applies += 1;
-                ompsim::verify::perturb_idx(
-                    ompsim::verify::HookPoint::ShardRoute,
-                    owner_node as u64,
-                );
-            }
             ompsim::verify::perturb_idx(ompsim::verify::HookPoint::QueuePush, owner as u64);
             // SAFETY: cell (owner, tid) is written only by this thread
             // pre-barrier; the parent reduction outlives the view.
@@ -234,9 +200,6 @@ impl<T: Element, O: ReduceOp<T>> Reduction<T> for KeeperReduction<'_, T, O> {
             lo,
             hi,
             remote_enqueues: 0,
-            topo: self.topo,
-            node: self.topo.node_of(tid),
-            remote_applies: 0,
             _op: PhantomData,
         }
     }
@@ -257,7 +220,6 @@ impl<T: Element, O: ReduceOp<T>> Reduction<T> for KeeperReduction<'_, T, O> {
             tid,
             &Counters {
                 remote_enqueues: view.remote_enqueues,
-                remote_applies: view.remote_applies,
                 ..Counters::default()
             },
         );
@@ -433,46 +395,6 @@ mod tests {
         assert!(t.remote_enqueues > 0);
         assert_eq!(t.remote_enqueues, t.remote_flushed);
         assert!(t.merged_bytes > 0);
-    }
-
-    #[test]
-    fn sharded_execution_is_bit_identical_and_counts_remote_applies() {
-        let pool = ThreadPool::new(4);
-        let n = 1000;
-
-        // Flat reference leg.
-        let mut flat = vec![0i64; n];
-        let red = KeeperReduction::<i64, Sum>::new(&mut flat, 4);
-        reduce(&pool, &red, 0..n, Schedule::default(), |v, i| {
-            v.apply((i + n / 2) % n, 1);
-        });
-        let t = red.telemetry().totals();
-        assert_eq!(t.remote_applies, 0, "flat topology never crosses nodes");
-        drop(red);
-
-        // Sharded 2x2 leg: same scatter, identical result, but every
-        // forward targets the opposite half of the array — the other node.
-        let mut sharded = vec![0i64; n];
-        let red = KeeperReduction::<i64, Sum>::with_topology(&mut sharded, 4, Topology::new(2, 2));
-        reduce(&pool, &red, 0..n, Schedule::default(), |v, i| {
-            v.apply((i + n / 2) % n, 1);
-        });
-        let t = red.telemetry().totals();
-        assert!(t.remote_applies > 0, "mirror scatter must cross the shard");
-        assert_eq!(
-            t.remote_applies, t.remote_enqueues,
-            "every forward is cross-node here"
-        );
-        drop(red);
-        assert_eq!(flat, sharded);
-
-        // Matched ownership never routes across nodes even when sharded.
-        let mut out = vec![0i64; n];
-        let red = KeeperReduction::<i64, Sum>::with_topology(&mut out, 4, Topology::new(2, 2));
-        reduce(&pool, &red, 0..n, Schedule::default(), |v, i| {
-            v.apply(i, 1);
-        });
-        assert_eq!(red.telemetry().totals().remote_applies, 0);
     }
 
     #[test]

@@ -90,7 +90,6 @@ pub use adaptive::{
     default_candidates, recommend, score as adaptive_score, AdaptiveConfig, ExecutorPolicy,
     RegionSignals,
 };
-pub use arena::{ArenaPool, BlockArena};
 pub use argmax::{MaxAt, MinAt, ValueAt};
 pub use atomic::{AtomicReduction, AtomicView};
 pub use block::{

@@ -109,49 +109,18 @@ enum PlanKind {
 pub struct RegionPlan {
     len: usize,
     nthreads: usize,
-    /// Topology the merge schedule was balanced for: node-local LPT on a
-    /// sharded topology, plain LPT on flat. Purely a scheduling record —
-    /// any plan replays correctly under any topology (each shared block
-    /// still has exactly one merger) — kept so
-    /// [`RegionPlan::with_budget`] rebalances the same way.
-    topo: ompsim::Topology,
     kind: PlanKind,
 }
 
 impl RegionPlan {
     /// Builds a block-reducer plan from per-thread touched-block lists
-    /// (one list per team thread, entries unique within a list), with a
-    /// flat merge schedule. Test convenience over
-    /// [`RegionPlan::for_blocks_on`] (production callers thread their
-    /// topology through).
-    #[cfg(test)]
+    /// (one list per team thread, entries unique within a list), with an
+    /// LPT-balanced merge schedule over the shared blocks.
     pub(crate) fn for_blocks(
         len: usize,
         nthreads: usize,
         block_size: usize,
         touched: &[Vec<u32>],
-    ) -> RegionPlan {
-        Self::for_blocks_on(
-            len,
-            nthreads,
-            block_size,
-            touched,
-            ompsim::Topology::flat(nthreads),
-        )
-    }
-
-    /// Builds a block-reducer plan from per-thread touched-block lists,
-    /// balancing the merge schedule **node-locally** under `topo`: each
-    /// shared block is merged by a thread of the node whose shard holds
-    /// it (LPT within the node before across nodes), so planned merges
-    /// write node-local output. Flat topologies reduce to the plain LPT
-    /// schedule.
-    pub(crate) fn for_blocks_on(
-        len: usize,
-        nthreads: usize,
-        block_size: usize,
-        touched: &[Vec<u32>],
-        topo: ompsim::Topology,
     ) -> RegionPlan {
         assert_eq!(touched.len(), nthreads);
         let nblocks = len.div_ceil(block_size.max(1));
@@ -189,11 +158,10 @@ impl RegionPlan {
             .filter(|&(_, &o)| o >= 2)
             .map(|(b, &o)| (b as u32, o as u64))
             .collect();
-        let merge = lpt_schedule_on(&shared, nthreads, topo, len, block_size);
+        let merge = lpt_schedule(&shared, nthreads);
         RegionPlan {
             len,
             nthreads,
-            topo,
             kind: PlanKind::Block {
                 block_size,
                 per_thread,
@@ -209,9 +177,6 @@ impl RegionPlan {
         RegionPlan {
             len,
             nthreads,
-            // Keeper plans carry no merge schedule; routing is shard-aware
-            // at apply time, not plan time.
-            topo: ompsim::Topology::flat(nthreads),
             kind: PlanKind::Keeper { counts },
         }
     }
@@ -408,11 +373,10 @@ impl RegionPlan {
             .filter(|(b, _)| !demoted.contains(b))
             .map(|(&b, &c)| (b, c))
             .collect();
-        let merge = lpt_schedule_on(&survivors, self.nthreads, self.topo, self.len, *block_size);
+        let merge = lpt_schedule(&survivors, self.nthreads);
         RegionPlan {
             len: self.len,
             nthreads: self.nthreads,
-            topo: self.topo,
             kind: PlanKind::Block {
                 block_size: *block_size,
                 per_thread,
@@ -562,51 +526,6 @@ impl PlanCache {
     }
 }
 
-/// Topology-aware merge scheduling: assigns each weighted block to one
-/// merging thread via [`lpt_schedule`], **within the node whose shard
-/// holds the block** when `topo` is sharded. Items are partitioned by
-/// the node of the block's first element's owning thread (see
-/// `crate::shared::node_shard` — shard and flat ownership agree), then
-/// LPT-balanced over that node's threads only, so a planned merge never
-/// writes another node's output range. Flat topologies take the plain
-/// whole-team LPT path unchanged.
-fn lpt_schedule_on(
-    costs: &[(u32, u64)],
-    nthreads: usize,
-    topo: ompsim::Topology,
-    len: usize,
-    block_size: usize,
-) -> Vec<Vec<u32>> {
-    if topo.is_flat() || len == 0 {
-        return lpt_schedule(costs, nthreads);
-    }
-    let node_of_block = |b: u32| {
-        let start = (b as usize * block_size).min(len - 1);
-        topo.node_of(crate::shared::owner_of(start, nthreads, len))
-    };
-    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nthreads];
-    for node in 0..topo.nodes() {
-        let tids = topo.node_threads(node, nthreads);
-        if tids.is_empty() {
-            // An element's owner tid always lies in a populated node, so
-            // no block can map here.
-            continue;
-        }
-        let node_items: Vec<(u32, u64)> = costs
-            .iter()
-            .filter(|&&(b, _)| node_of_block(b) == node)
-            .copied()
-            .collect();
-        for (w, list) in lpt_schedule(&node_items, tids.len())
-            .into_iter()
-            .enumerate()
-        {
-            lists[tids.start + w] = list;
-        }
-    }
-    lists
-}
-
 /// Longest-processing-time greedy schedule of weighted items over
 /// `nworkers` workers: items in descending cost order, each to the
 /// currently least-loaded worker. Deterministic: ties break on lower item
@@ -671,35 +590,6 @@ mod tests {
         let mut all: Vec<u32> = merge.concat();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn sharded_merge_schedule_is_node_local_and_complete() {
-        // 4 threads on 2x2, len 256, blocks of 16: node 0's shard is
-        // [0, 128) (blocks 0..8), node 1's [128, 256) (blocks 8..16).
-        // Every thread touches every block, so all 16 are shared.
-        let topo = ompsim::Topology::new(2, 2);
-        let touched: Vec<Vec<u32>> = (0..4).map(|_| (0..16).collect()).collect();
-        let plan = RegionPlan::for_blocks_on(256, 4, 16, &touched, topo);
-        let mut all: Vec<u32> = Vec::new();
-        for tid in 0..4 {
-            for &b in plan.merge_list(tid) {
-                all.push(b);
-                assert_eq!(
-                    (b as usize) / 8,
-                    topo.node_of(tid),
-                    "block {b} merged off-node by tid {tid}"
-                );
-            }
-        }
-        // Node-locality never drops a block: the schedule is a partition.
-        all.sort_unstable();
-        assert_eq!(all, (0..16).collect::<Vec<u32>>());
-        // The flat schedule covers the same blocks (only placement moves).
-        let flat = RegionPlan::for_blocks(256, 4, 16, &touched);
-        let mut fall: Vec<u32> = (0..4).flat_map(|t| flat.merge_list(t).to_vec()).collect();
-        fall.sort_unstable();
-        assert_eq!(fall, all);
     }
 
     #[test]

@@ -202,29 +202,6 @@ pub(crate) fn chunk_of(tid: usize, nthreads: usize, len: usize) -> (usize, usize
     (lo, hi)
 }
 
-/// The contiguous `[lo, hi)` index range owned by NUMA node `node` under
-/// `topo`: the union of [`chunk_of`] ranges of the node's (contiguous)
-/// team tids. Because the node's tids are contiguous and each tid's chunk
-/// is contiguous, the union is one contiguous span — so element→owner is
-/// **identical** to the flat partition; topology only changes the
-/// mechanics (queue routing, merge scheduling, arena placement) on either
-/// side of the shard boundary. Empty for nodes with no team threads.
-#[inline]
-pub(crate) fn node_shard(
-    node: usize,
-    topo: &ompsim::Topology,
-    nthreads: usize,
-    len: usize,
-) -> (usize, usize) {
-    let tids = topo.node_threads(node, nthreads);
-    if tids.is_empty() {
-        return (len, len);
-    }
-    let (lo, _) = chunk_of(tids.start, nthreads, len);
-    let (_, hi) = chunk_of(tids.end - 1, nthreads, len);
-    (lo, hi)
-}
-
 /// Inverse of [`chunk_of`]: which thread's chunk contains index `i`.
 #[inline]
 pub(crate) fn owner_of(i: usize, nthreads: usize, len: usize) -> usize {
@@ -275,34 +252,6 @@ mod tests {
                         lo <= i && i < hi,
                         "i={i} len={len} n={n} -> t={t} [{lo},{hi})"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn node_shards_partition_and_agree_with_chunks() {
-        for (s, c) in [(1usize, 4usize), (2, 2), (2, 4), (4, 1), (3, 5)] {
-            let topo = ompsim::Topology::new(s, c);
-            for len in [0usize, 1, 7, 97, 1000] {
-                for n in [1usize, 2, 3, 4, 7] {
-                    let mut expected_lo = 0;
-                    for node in 0..topo.nodes() {
-                        let (lo, hi) = node_shard(node, &topo, n, len);
-                        if topo.node_threads(node, n).is_empty() {
-                            assert_eq!((lo, hi), (len, len));
-                            continue;
-                        }
-                        assert_eq!(lo, expected_lo, "{s}x{c} len={len} n={n}");
-                        expected_lo = hi;
-                        // Every index inside the shard is owned by a tid
-                        // of this node — the flat partition agrees.
-                        for i in lo..hi {
-                            let t = owner_of(i, n, len);
-                            assert_eq!(topo.node_of(t), node);
-                        }
-                    }
-                    assert_eq!(expected_lo, len);
                 }
             }
         }

@@ -208,7 +208,6 @@ impl JsonWriter {
 /// | `fallback_privatizations` | block-\* | private block copies allocated (for the direct-ownership flavors: the lock/CAS fallback path) |
 /// | `remote_enqueues` | keeper | updates forwarded to a foreign owner's queue |
 /// | `remote_flushed` | keeper | forwarded updates this thread drained as owner |
-/// | `remote_applies` | keeper, atomic | updates that crossed a NUMA-node shard boundary (see [`ompsim::Topology`]) |
 /// | `merged_bytes` | all privatizing | bytes this thread combined into the output during the merge phase |
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -227,10 +226,6 @@ pub struct Counters {
     pub remote_enqueues: u64,
     /// Forwarded keeper updates drained by this thread as owner.
     pub remote_flushed: u64,
-    /// Updates whose target element lives on a different NUMA node than
-    /// the applying thread (keeper: queued cross-node; atomic: a remote
-    /// CAS). Always zero on a flat topology.
-    pub remote_applies: u64,
     /// Bytes combined into the output array during the merge phase.
     pub merged_bytes: u64,
 }
@@ -245,7 +240,6 @@ impl Counters {
             fallback_privatizations: self.fallback_privatizations + other.fallback_privatizations,
             remote_enqueues: self.remote_enqueues + other.remote_enqueues,
             remote_flushed: self.remote_flushed + other.remote_flushed,
-            remote_applies: self.remote_applies + other.remote_applies,
             merged_bytes: self.merged_bytes + other.merged_bytes,
         }
     }
@@ -268,7 +262,6 @@ impl Counters {
             .field_u64("fallback_privatizations", self.fallback_privatizations)
             .field_u64("remote_enqueues", self.remote_enqueues)
             .field_u64("remote_flushed", self.remote_flushed)
-            .field_u64("remote_applies", self.remote_applies)
             .field_u64("merged_bytes", self.merged_bytes)
             .end_obj();
     }
@@ -311,7 +304,6 @@ struct CounterCell {
     fallback_privatizations: AtomicU64,
     remote_enqueues: AtomicU64,
     remote_flushed: AtomicU64,
-    remote_applies: AtomicU64,
     merged_bytes: AtomicU64,
 }
 
@@ -343,8 +335,6 @@ impl TelemetryBoard {
             .fetch_add(c.remote_enqueues, Ordering::Relaxed);
         s.remote_flushed
             .fetch_add(c.remote_flushed, Ordering::Relaxed);
-        s.remote_applies
-            .fetch_add(c.remote_applies, Ordering::Relaxed);
         s.merged_bytes.fetch_add(c.merged_bytes, Ordering::Relaxed);
     }
 
@@ -376,7 +366,6 @@ impl TelemetryBoard {
                     fallback_privatizations: s.0.fallback_privatizations.load(Ordering::Relaxed),
                     remote_enqueues: s.0.remote_enqueues.load(Ordering::Relaxed),
                     remote_flushed: s.0.remote_flushed.load(Ordering::Relaxed),
-                    remote_applies: s.0.remote_applies.load(Ordering::Relaxed),
                     merged_bytes: s.0.merged_bytes.load(Ordering::Relaxed),
                 })
                 .collect(),
@@ -560,14 +549,6 @@ pub struct RunReport {
     /// Retractions applied (cumulative) across the executor's delta
     /// regions.
     pub retractions: u64,
-    /// Updates this region that crossed a NUMA-node shard boundary (the
-    /// team-wide total of [`Counters::remote_applies`], lifted here so
-    /// bench gates can read it without walking `counters`). Zero on a
-    /// flat topology.
-    pub remote_applies: u64,
-    /// NUMA-node shards the region's output array was divided into — the
-    /// pool topology's node count (1 = flat execution).
-    pub node_shards: u64,
     /// Per-thread event counters the strategy recorded.
     pub counters: Telemetry,
     /// Per-phase wall times of the region.
@@ -621,8 +602,6 @@ impl RunReport {
             .field_u64("delta_regions", self.delta_regions)
             .field_u64("dirty_blocks", self.dirty_blocks)
             .field_u64("retractions", self.retractions)
-            .field_u64("remote_applies", self.remote_applies)
-            .field_u64("node_shards", self.node_shards)
             .field_f64("merge_bandwidth", self.merge_bandwidth);
         w.key("phases");
         self.phases.write_json(&mut w);
@@ -751,8 +730,6 @@ mod tests {
             delta_regions: 5,
             dirty_blocks: 17,
             retractions: 6,
-            remote_applies: 13,
-            node_shards: 2,
             counters: Telemetry {
                 per_thread: vec![
                     Counters {
@@ -792,8 +769,6 @@ mod tests {
             "\"delta_regions\": 5",
             "\"dirty_blocks\": 17",
             "\"retractions\": 6",
-            "\"remote_applies\": 13",
-            "\"node_shards\": 2",
             "\"merge_bandwidth\": 256.0",
             "\"loop_secs\": 0.5",
             "\"applies\": 7",

@@ -435,6 +435,18 @@ pub mod fuzz {
         }
     }
 
+    /// A session that counts hook crossings but never perturbs. Fault
+    /// cases hold one over their unperturbed regions: a region run with
+    /// no session would cross the hooks of whatever session another test
+    /// installed meanwhile, charging that session's preemptions and fault
+    /// counts.
+    fn inert_session() -> verify::VerifySession {
+        verify::install(VerifyConfig {
+            preempt_per_mille: 0,
+            ..VerifyConfig::default()
+        })
+    }
+
     /// Everything one fuzz iteration observed: the oracle verdict plus
     /// the controller's replay fingerprint.
     pub struct FuzzOutcome {
@@ -563,6 +575,7 @@ pub mod fuzz {
         // on the orchestrating thread, between regions), and an
         // unperturbed rerun must be exact — nothing drained into the
         // void.
+        let _inert = inert_session();
         match check_adaptive_seed(&pool, &cfg, seed) {
             Ok(_) => Ok(()),
             Err(m) => Err(format!(
@@ -792,6 +805,7 @@ pub mod fuzz {
         // The pool and the executor must both survive the poisoned
         // region: rerun the same region on the same objects, unperturbed,
         // and demand the exact sequential result.
+        let _inert = inert_session();
         let mut out = vec![0i64; n];
         ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
         let mut want = vec![0i64; n];
@@ -801,168 +815,6 @@ pub mod fuzz {
                 "seed {seed}: post-fault rerun of {} diverged after {} fault on tid {tid}",
                 strategy.label(),
                 point.name()
-            ));
-        }
-        Ok(())
-    }
-
-    /// Everything one NUMA-sharding fuzz iteration observed.
-    pub struct NumaOutcome {
-        /// `Ok` when every (strategy, topology, region) result was
-        /// bit-identical to the flat control (itself checked against the
-        /// sequential reduction).
-        pub result: Result<(), String>,
-        /// Preemptions the controller charged (all threads).
-        pub preemptions: u64,
-        /// [`HookPoint::ShardRoute`] crossings — proof the sweep drove
-        /// cross-node traffic through the sharded legs.
-        pub shard_routes: u64,
-    }
-
-    /// One NUMA differential iteration: the same seeded scatter runs
-    /// under a **flat** topology (the control, checked bit-exactly
-    /// against the sequential reduction) and under three emulated
-    /// sharded topologies — `1xT` (one node, sharding machinery engaged
-    /// but boundary-free), `2x⌈T/2⌉` (the interesting case: real
-    /// cross-node traffic) and `Tx1` (every thread its own node, all
-    /// remote) — for every strategy, each leg running a recording region
-    /// plus a planned replay so the node-local merge schedules and
-    /// per-node arena pools are exercised. Topology is a *routing*
-    /// choice, never a semantics choice: element→owner is identical to
-    /// the flat partition (see `crate::shared::node_shard`), and i64
-    /// sums are exactly associative, so every sharded result must be
-    /// **bit-identical** to the flat control under any interleaving the
-    /// seeded controller produces. Any divergence is sharding
-    /// corruption, not reassociation.
-    pub fn numa_case(threads: usize, seed: u64) -> NumaOutcome {
-        let n = 512usize;
-        let updates = 8 * n;
-        let block_size = 32usize;
-        let regions = 2usize; // recording + one planned replay
-        let kernel = ScatterKernel { n, seed };
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-
-        let topologies = [
-            ompsim::Topology::new(1, threads.max(1)),
-            ompsim::Topology::new(2, threads.div_ceil(2).max(1)),
-            ompsim::Topology::new(threads.max(1), 1),
-        ];
-        let session = verify::install(params_for_seed(seed));
-        let mut result = Ok(());
-        'sweep: for strategy in Strategy::all(block_size) {
-            // Flat control leg.
-            let run_leg = |topo: ompsim::Topology| -> Vec<Vec<i64>> {
-                let pool = ThreadPool::with_topology(threads, topo);
-                let mut ex = RegionExecutor::<i64, Sum>::new(strategy);
-                (0..regions)
-                    .map(|_| {
-                        let mut out = vec![0i64; n];
-                        ex.run_planned(
-                            1,
-                            &pool,
-                            &mut out,
-                            0..updates,
-                            Schedule::default(),
-                            &kernel,
-                        );
-                        out
-                    })
-                    .collect()
-            };
-            let flat = run_leg(ompsim::Topology::flat(threads));
-            for (r, out) in flat.iter().enumerate() {
-                if out != &want {
-                    result = Err(format!(
-                        "seed {seed}: {} flat region {r} diverged from sequential",
-                        strategy.label()
-                    ));
-                    break 'sweep;
-                }
-            }
-            for topo in topologies {
-                let sharded = run_leg(topo);
-                for (r, out) in sharded.iter().enumerate() {
-                    if out != &flat[r] {
-                        let i = out.iter().zip(&flat[r]).position(|(a, b)| a != b);
-                        result = Err(format!(
-                            "seed {seed}: {} on {}x{} region {r} diverged from flat at index {:?}",
-                            strategy.label(),
-                            topo.nodes(),
-                            topo.cores_per_socket(),
-                            i
-                        ));
-                        break 'sweep;
-                    }
-                }
-            }
-        }
-        NumaOutcome {
-            result,
-            preemptions: session.preemptions(),
-            shard_routes: session.total(HookPoint::ShardRoute),
-        }
-    }
-
-    /// One NUMA fault-injection iteration: on an emulated two-node
-    /// topology, plant a panic at a seed-chosen
-    /// [`HookPoint::ShardRoute`] crossing — the hook fires only when a
-    /// keeper apply routes a contribution to the *other* node's shard,
-    /// so the fault lands mid-route, exactly where a misroute would
-    /// corrupt a neighbor's range — and demand that (a) the region
-    /// panics (poison, not corruption), and (b) the same pool and
-    /// executor then rerun unperturbed to the exact sequential result.
-    pub fn numa_fault_case(threads: usize, seed: u64) -> Result<(), String> {
-        let threads = threads.max(2); // one node cannot route cross-node
-        let n = 256usize;
-        let updates = 16 * n;
-        let topo = ompsim::Topology::new(2, threads.div_ceil(2));
-        let h = mix64(seed ^ 0x57A2_D007);
-        let tid = ((h >> 8) % threads as u64) as usize;
-        // Round-robin traffic crosses the shard boundary on every thread
-        // many times per region; low crossing numbers always fire.
-        let nth = 1 + h % 3;
-
-        let session = verify::install(VerifyConfig {
-            seed,
-            preempt_per_mille: 100,
-            budget: 64,
-            delay_nanos: 0,
-            migrate_per_mille: 0,
-            fault: Some(FaultSpec {
-                tid,
-                point: HookPoint::ShardRoute,
-                nth,
-            }),
-        });
-        let pool = ThreadPool::with_topology(threads, topo);
-        let kernel = RoundRobinKernel { n };
-        let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::Keeper);
-        let mut out = vec![0i64; n];
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        }))
-        .is_err();
-        std::panic::set_hook(default_hook);
-        if !poisoned {
-            return Err(format!(
-                "seed {seed}: injected fault at shard_route #{nth} on tid {tid} never fired"
-            ));
-        }
-        drop(session);
-
-        // The pool and executor must survive the poisoned region: rerun
-        // unperturbed on the same objects and demand the exact result —
-        // no update may have leaked into another node's shard.
-        let mut out = vec![0i64; n];
-        ex.run(&pool, &mut out, 0..updates, Schedule::default(), &kernel);
-        let mut want = vec![0i64; n];
-        reduce_seq::<i64, Sum, _>(&mut want, 0..updates, |v, i| kernel.item(v, i));
-        if out != want {
-            return Err(format!(
-                "seed {seed}: post-fault rerun diverged after shard_route #{nth} on tid {tid}"
             ));
         }
         Ok(())
@@ -1144,14 +996,17 @@ pub mod fuzz {
         let pool = ThreadPool::new(threads);
         let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::BlockCas { block_size: 64 });
         let mut out = vec![0i64; n];
-        // Baseline batch, committed before the controller is installed.
+        // Baseline batch, committed before the faulting controller is
+        // installed.
         let mut batch = DeltaBatch::new();
         for r in 0..per_elem {
             for i in 0..n {
                 batch.push(i, (r * n + i) as u64, 1);
             }
         }
+        let inert = inert_session();
         ex.run_delta(&pool, &mut out, &batch);
+        drop(inert);
         let before = out.clone();
 
         // Churn touching every block: retract one baseline tag per block
@@ -1201,7 +1056,9 @@ pub mod fuzz {
         // The executor must survive the mid-stage death: replay the same
         // batch on the same objects, unperturbed, and demand the exact
         // full-replay result.
+        let inert = inert_session();
         ex.run_delta(&pool, &mut out, &churn);
+        drop(inert);
         let mut want = vec![per_elem as i64; n];
         for &idx in &touched {
             want[idx] = per_elem as i64 - 1 - 5;
@@ -1249,6 +1106,7 @@ pub mod fuzz {
             ));
         }
         drop(session);
+        let _inert = inert_session();
         ex.run_delta(&pool, &mut out, &small);
         want[touched[0]] = per_elem as i64 - 1 + 3;
         if out != want {

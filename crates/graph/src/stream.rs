@@ -147,10 +147,6 @@ pub struct StreamStats {
     pub reapplied_sources: u64,
     /// Individual retractions submitted across all rounds.
     pub retractions: u64,
-    /// Contributions that crossed a NUMA-node shard boundary inside the
-    /// delta engine, summed over all rounds (see
-    /// [`spray::RunReport::remote_applies`]); zero on a flat topology.
-    pub remote_applies: u64,
     /// Full re-baselines forced (always 0 for PageRank; for components,
     /// 1 when an edge deletion was detected).
     pub resets: u64,
@@ -270,8 +266,7 @@ impl StreamingPageRank {
                 stats.reapplied_sources += 1;
             }
             if !batch.is_empty() {
-                let report = self.ex.run_delta(pool, &mut self.scatter, &batch);
-                stats.remote_applies += report.remote_applies;
+                self.ex.run_delta(pool, &mut self.scatter, &batch);
             }
             stats.rounds = it;
 
@@ -401,8 +396,7 @@ impl StreamingComponents {
                 stats.converged = true;
                 return stats;
             }
-            let report = self.ex.run_delta(pool, &mut self.labels, &batch);
-            stats.remote_applies += report.remote_applies;
+            self.ex.run_delta(pool, &mut self.labels, &batch);
             stats.rounds += 1;
         }
     }

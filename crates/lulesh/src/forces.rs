@@ -182,10 +182,6 @@ pub struct ForceStats {
     /// sweeps). Zero for the sequential and 8-copy schemes, which bypass
     /// the reduction telemetry.
     pub applies: u64,
-    /// Of those, contributions that crossed a NUMA-node shard boundary
-    /// (see [`spray::RunReport::remote_applies`]). Always zero on a flat
-    /// topology.
-    pub remote_applies: u64,
 }
 
 /// Reusable force-accumulation state for a fixed [`ForceScheme`].
@@ -282,7 +278,6 @@ fn run_pass(
             ForceStats {
                 memory_overhead: report.memory_overhead,
                 applies: report.counters.totals().applies,
-                remote_applies: report.remote_applies,
             }
         }
         ForceScheme::EightCopy => {
@@ -327,7 +322,6 @@ fn run_pass(
             ForceStats {
                 memory_overhead: 8 * stride * std::mem::size_of::<f64>(),
                 applies: 0,
-                remote_applies: 0,
             }
         }
     }
@@ -348,7 +342,6 @@ pub fn calc_force_for_nodes_with(
     ForceStats {
         memory_overhead: s1.memory_overhead.max(s2.memory_overhead),
         applies: s1.applies + s2.applies,
-        remote_applies: s1.remote_applies + s2.remote_applies,
     }
 }
 
@@ -421,16 +414,10 @@ pub fn calc_force_for_nodes_service(
     d.f = f;
     // When the sweeps coalesced into one region its counters already
     // cover both; separate regions are summed.
-    let (applies, remote_applies) = if stress.batch_size == 2 && hourglass.batch_size == 2 {
-        (
-            stress.report.counters.totals().applies,
-            stress.report.remote_applies,
-        )
+    let applies = if stress.batch_size == 2 && hourglass.batch_size == 2 {
+        stress.report.counters.totals().applies
     } else {
-        (
-            stress.report.counters.totals().applies + hourglass.report.counters.totals().applies,
-            stress.report.remote_applies + hourglass.report.remote_applies,
-        )
+        stress.report.counters.totals().applies + hourglass.report.counters.totals().applies
     };
     ForceStats {
         memory_overhead: stress
@@ -438,7 +425,6 @@ pub fn calc_force_for_nodes_service(
             .memory_overhead
             .max(hourglass.report.memory_overhead),
         applies,
-        remote_applies,
     }
 }
 

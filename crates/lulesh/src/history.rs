@@ -60,13 +60,11 @@ pub fn run_with_history(
     let mut accum = ForceAccum::new(scheme);
     let mut mem = 0usize;
     let mut applies = 0u64;
-    let mut remote_applies = 0u64;
     for _ in 0..cycles {
         let dt_used = d.dt;
         let s = step_with(d, pool, &mut accum);
         mem = mem.max(s.memory_overhead);
         applies += s.applies;
-        remote_applies += s.remote_applies;
         let max_velocity = (0..d.nnode())
             .map(|n| (d.xd[n] * d.xd[n] + d.yd[n] * d.yd[n] + d.zd[n] * d.zd[n]).sqrt())
             .fold(0.0f64, f64::max);
@@ -81,7 +79,6 @@ pub fn run_with_history(
     }
     let mut stats = run_stats_of(d, mem);
     stats.applies = applies;
-    stats.remote_applies = remote_applies;
     (stats, history)
 }
 

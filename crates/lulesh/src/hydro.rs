@@ -54,9 +54,6 @@ pub struct RunStats {
     /// Total corner-force contributions applied through spray reducers
     /// over the whole run (zero for non-spray schemes).
     pub applies: u64,
-    /// Of those, contributions that crossed a NUMA-node shard boundary
-    /// over the whole run (zero on a flat topology).
-    pub remote_applies: u64,
     /// Final total (internal + kinetic) energy.
     pub total_energy: f64,
     /// Maximum absolute nodal velocity at the end (sanity/NaN guard).
@@ -266,16 +263,13 @@ pub fn run(d: &mut Domain, pool: &ThreadPool, scheme: ForceScheme, cycles: usize
     let mut accum = ForceAccum::new(scheme);
     let mut mem = 0usize;
     let mut applies = 0u64;
-    let mut remote_applies = 0u64;
     for _ in 0..cycles {
         let s = step_with(d, pool, &mut accum);
         mem = mem.max(s.memory_overhead);
         applies += s.applies;
-        remote_applies += s.remote_applies;
     }
     let mut stats = run_stats_of(d, mem);
     stats.applies = applies;
-    stats.remote_applies = remote_applies;
     stats
 }
 
@@ -290,7 +284,6 @@ pub(crate) fn run_stats_of(d: &Domain, memory_overhead: usize) -> RunStats {
         final_dt: d.dt,
         memory_overhead,
         applies: 0,
-        remote_applies: 0,
         total_energy: d.total_energy(),
         max_velocity,
     }

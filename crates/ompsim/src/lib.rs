@@ -32,13 +32,11 @@ mod constructs;
 mod pool;
 mod scalar;
 mod schedule;
-mod topology;
 pub mod verify;
 
 pub use constructs::{single_sync, Single};
 pub use pool::{Team, ThreadPool};
 pub use schedule::{ChunkIter, ParseScheduleError, Schedule, ScheduleInstance};
-pub use topology::{Topology, TOPOLOGY_ENV};
 
 use std::sync::OnceLock;
 

@@ -227,10 +227,6 @@ pub struct ThreadPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     nthreads: usize,
-    /// Machine topology the team is bound to (see [`crate::Topology`]):
-    /// detected at construction, consulted by topology-aware reducers to
-    /// shard ownership and keep merge traffic node-local.
-    topology: crate::Topology,
     /// Serializes parallel regions: only one team may be active at a time
     /// (nested parallelism is not supported, as in `OMP_NESTED=false`).
     region_lock: Mutex<()>,
@@ -240,26 +236,11 @@ pub struct ThreadPool {
 
 impl ThreadPool {
     /// Creates a pool that runs parallel regions on `nthreads` threads
-    /// (the caller plus `nthreads - 1` spawned workers), with the machine
-    /// topology detected via [`crate::Topology::detect`] (the
-    /// `SPRAY_TOPOLOGY` emulation spec, then sysfs, then flat).
-    ///
-    /// # Panics
-    /// Panics if `nthreads == 0`, or if `SPRAY_TOPOLOGY` is set to a
-    /// malformed spec (a silent fall-back to flat would let topology
-    /// differential tests pass vacuously).
-    pub fn new(nthreads: usize) -> Self {
-        let topology = crate::Topology::detect(nthreads);
-        Self::with_topology(nthreads, topology)
-    }
-
-    /// [`ThreadPool::new`] with an explicit topology, bypassing
-    /// detection — the environment-independent constructor the
-    /// sharded-vs-flat differential tests use for both legs.
+    /// (the caller plus `nthreads - 1` spawned workers).
     ///
     /// # Panics
     /// Panics if `nthreads == 0`.
-    pub fn with_topology(nthreads: usize, topology: crate::Topology) -> Self {
+    pub fn new(nthreads: usize) -> Self {
         assert!(nthreads > 0, "thread pool needs at least one thread");
         let shared = Arc::new(Shared {
             epoch: AtomicU64::new(0),
@@ -286,7 +267,6 @@ impl ThreadPool {
             shared,
             workers,
             nthreads,
-            topology,
             region_lock: Mutex::new(()),
             regions_run: AtomicU64::new(0),
         }
@@ -296,12 +276,6 @@ impl ThreadPool {
     #[inline]
     pub fn num_threads(&self) -> usize {
         self.nthreads
-    }
-
-    /// The machine topology the team is bound to.
-    #[inline]
-    pub fn topology(&self) -> crate::Topology {
-        self.topology
     }
 
     /// Parallel regions completed on this pool, across all callers —
@@ -537,18 +511,6 @@ mod tests {
                 assert_eq!(c.load(Ordering::Relaxed), 1);
             }
         }
-    }
-
-    #[test]
-    fn explicit_topology_is_reported_and_pool_works() {
-        let pool = ThreadPool::with_topology(4, crate::Topology::new(2, 2));
-        assert_eq!(pool.topology().nodes(), 2);
-        assert_eq!(pool.topology().node_of(3), 1);
-        let n = AtomicUsize::new(0);
-        pool.parallel(|_| {
-            n.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(n.into_inner(), 4);
     }
 
     #[test]

@@ -69,17 +69,10 @@ pub enum HookPoint {
     /// *before* the staged value is committed, so an injected fault here
     /// must leave the previous result untouched (poison, not corrupt).
     DeltaApply,
-    /// A topology-aware view is about to route a contribution to a
-    /// *different NUMA node* — a keeper view forwarding an update whose
-    /// owner lives on another node's shard (`idx` = owning node).
-    /// Crossed strictly before the cross-node queue push, so an injected
-    /// fault here models a misroute dying in flight: it must poison the
-    /// region, never corrupt the output, and replay exactly.
-    ShardRoute,
 }
 
 /// Number of distinct hook points (array dimension for counters).
-pub const NPOINTS: usize = 10;
+pub const NPOINTS: usize = 9;
 
 impl HookPoint {
     /// Every hook point, in counter-index order.
@@ -93,7 +86,6 @@ impl HookPoint {
         HookPoint::MergeStep,
         HookPoint::MigrationDecision,
         HookPoint::DeltaApply,
-        HookPoint::ShardRoute,
     ];
 
     /// Stable index into per-point counter arrays.
@@ -114,7 +106,6 @@ impl HookPoint {
             HookPoint::MergeStep => "merge_step",
             HookPoint::MigrationDecision => "migration_decision",
             HookPoint::DeltaApply => "delta_apply",
-            HookPoint::ShardRoute => "shard_route",
         }
     }
 }

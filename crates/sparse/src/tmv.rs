@@ -232,35 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tmv_matches_seq_and_reports_topology() {
-        // Consumer-port passthrough: on an emulated NUMA topology the
-        // product stays numerically indistinguishable from the flat run
-        // and the returned report carries the node-shard telemetry.
-        let a = gen::random(200, 150, 2000, 7);
-        let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.01).sin()).collect();
-        let mut expected = vec![0.0f64; 150];
-        a.tmatvec_seq(&x, &mut expected);
-
-        let pool = ThreadPool::with_topology(4, ompsim::Topology::new(2, 2));
-        for strategy in [
-            Strategy::Keeper,
-            Strategy::Atomic,
-            Strategy::BlockPrivate { block_size: 32 },
-        ] {
-            let mut y = vec![0.0f64; 150];
-            let report = tmv_with_strategy(strategy, &pool, &a, &x, &mut y);
-            assert_eq!(report.node_shards, 2, "{}", report.strategy);
-            for (i, (&got, &want)) in y.iter().zip(&expected).enumerate() {
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "{} differs at {i} on 2x2: {got} vs {want}",
-                    report.strategy
-                );
-            }
-        }
-    }
-
-    #[test]
     fn planned_tmv_matches_seq_and_replays() {
         let a = gen::random(400, 256, 4000, 9);
         let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.02).cos()).collect();
