@@ -136,8 +136,8 @@ fn main() {
                 let inc = t0.elapsed().as_secs_f64();
                 inc_best = inc_best.min(inc);
                 mode = report.strategy.clone();
-                dirty_blocks = report.dirty_blocks;
-                retractions = report.retractions;
+                dirty_blocks = ex.dirty_blocks();
+                retractions = ex.retractions();
 
                 // Full recompute of the same post-batch live set. The
                 // index stream never changes, so the recorded plan

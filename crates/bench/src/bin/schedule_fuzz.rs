@@ -472,17 +472,17 @@ fn arena_main(_o: &FuzzOpts) -> i32 {
 fn service_main(o: &FuzzOpts) -> i32 {
     use spray_service::fuzz::service_case;
     let mut bad = 0u64;
-    let mut migrations = 0u64;
+    let mut off_start_jobs = 0u64;
     for seed in o.start..o.start + o.service {
         let outcome = service_case(seed);
-        migrations += outcome.migrations;
+        off_start_jobs += outcome.off_start_jobs;
         match outcome.result {
             Ok(()) => {
                 if !o.quiet {
                     println!(
                         "service seed {seed}: serial and concurrent submission \
-                         bit-identical ({} migrations)",
-                        outcome.migrations
+                         bit-identical ({} jobs off the start strategy)",
+                        outcome.off_start_jobs
                     );
                 }
             }
@@ -500,15 +500,15 @@ fn service_main(o: &FuzzOpts) -> i32 {
         eprintln!("service fuzz: {bad} failure(s) over {} seed(s)", o.service);
         return 1;
     }
-    if migrations == 0 {
+    if off_start_jobs == 0 {
         eprintln!(
-            "service fuzz: {} seed(s) planted NO migrations — the mode lost its teeth",
+            "service fuzz: {} seed(s) ran NO job off the start strategy — the mode lost its teeth",
             o.service
         );
         return 1;
     }
     println!(
-        "service fuzz: {} seed(s) from {} clean ({migrations} migrations exercised)",
+        "service fuzz: {} seed(s) from {} clean ({off_start_jobs} jobs ran after a migration)",
         o.service, o.start
     );
     0

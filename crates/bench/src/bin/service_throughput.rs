@@ -1,9 +1,8 @@
 //! Reduction-service throughput: batched admission vs the serial path.
 //!
 //! A burst of same-shape scatter jobs (one `class`, one output length,
-//! so every pair is batchable) is pushed through a
-//! [`ReductionService`](spray_service::ReductionService) twice per
-//! thread count:
+//! so every pair is batchable) is pushed through a [`ReductionService`]
+//! twice per thread count:
 //!
 //! * **serial** — `batch_window = 1`, inline epilogues, one submitter
 //!   that waits for each job before submitting the next: every job pays

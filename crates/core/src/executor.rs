@@ -39,7 +39,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// State an executor may share with concurrent sessions: the region-plan
 /// cache and the service-level telemetry sinks.
@@ -52,8 +52,8 @@ use std::time::{Duration, Instant};
 ///   shared.
 /// * **shared state** — this type, behind an [`Arc`]: the [`PlanCache`]
 ///   (one recording serves every session replaying the same region id)
-///   and the job/batch/queue-wait sinks the reduction service folds its
-///   admission telemetry into.
+///   and the job/batch sinks the reduction service folds its admission
+///   telemetry into.
 ///
 /// [`RegionExecutor::new`]/[`with_policy`](RegionExecutor::with_policy)
 /// wrap a private `ExecutorShared`, preserving the old single-owner
@@ -77,8 +77,6 @@ pub struct ExecutorShared {
     jobs: AtomicU64,
     /// Service regions that coalesced two or more same-shape jobs.
     batched_regions: AtomicU64,
-    /// Cumulative queue wait (nanoseconds) of admitted jobs.
-    queue_wait_nanos: AtomicU64,
 }
 
 impl ExecutorShared {
@@ -92,11 +90,10 @@ impl ExecutorShared {
         &self.plans
     }
 
-    /// Records one admitted job and its queue wait (service sink).
-    pub fn note_job(&self, queue_wait: Duration) {
+    /// Records one admitted job (service sink); a job's queue wait
+    /// travels on its own result.
+    pub fn note_job(&self) {
         self.jobs.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait_nanos
-            .fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Records one region that batched `jobs` same-shape jobs (counted
@@ -115,11 +112,6 @@ impl ExecutorShared {
     /// Regions that coalesced two or more jobs.
     pub fn batched_regions(&self) -> u64 {
         self.batched_regions.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative queue wait of admitted jobs, in seconds.
-    pub fn queue_wait_secs(&self) -> f64 {
-        self.queue_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 }
 
@@ -352,7 +344,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     ///    executor detaches scratch, so at a region boundary the scratch
     ///    holds no pending updates; dropping it completes the old
     ///    strategy's epoch.
-    /// 2. **Invalidate** — cached [`RegionPlan`]s describe the old
+    /// 2. **Invalidate** — cached [`RegionPlan`](crate::RegionPlan)s describe the old
     ///    strategy's execution shape; [`clear_plans`](RegionExecutor::clear_plans)
     ///    drops them (and their stats epoch) so the new strategy
     ///    re-records lazily on its first planned region.
@@ -407,7 +399,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     }
 
     /// Like [`run`](RegionExecutor::run), but caches and replays a
-    /// [`RegionPlan`] for the region identified by `region`.
+    /// [`RegionPlan`](crate::RegionPlan) for the region identified by `region`.
     ///
     /// The first call with a given id runs in **recording mode**: the
     /// region executes exactly as unplanned would, except the footprint it
@@ -423,8 +415,8 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// the region's actual footprint — always correct, just unamortized.
     ///
     /// Plan construction time is accumulated in
-    /// [`RunReport::plan_build_secs`] and clean replays in
-    /// [`RunReport::planned_regions`] — the inspection cost MKL's
+    /// [`plan_build_secs`](RegionExecutor::plan_build_secs) and clean
+    /// replays in [`RunReport::planned_regions`] — the inspection cost MKL's
     /// inspector/executor leaves out of its timed loop, reported here so
     /// comparisons stay fair. Strategies without a planned path (dense,
     /// maps, atomic) execute exactly as
@@ -558,11 +550,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                 report
             }
         };
-        let label = report.strategy.clone();
-        match self.strategy_regions.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, count)) => *count += 1,
-            None => self.strategy_regions.push((label, 1)),
-        }
+        self.tally_region(&report.strategy);
         report.scratch_bytes = plan_scratch.unwrap_or(report.memory_overhead);
         report.budget_bytes = if self.budget.is_unlimited() {
             0
@@ -570,18 +558,18 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             self.budget.max_scratch_bytes
         };
         self.adaptive_step(&report, out.len(), replay_deviated);
-        report.plan_build_secs = self.shared.plans.plan_build_secs();
         report.planned_regions = self.shared.plans.planned_regions();
-        report.migrations = self.migrations;
-        report.migration_secs = self.migration_secs;
-        report.strategy_regions = self.strategy_regions.clone();
-        report.jobs = self.shared.jobs();
-        report.batched_regions = self.shared.batched_regions();
-        report.queue_wait_secs = self.shared.queue_wait_secs();
-        report.delta_regions = self.delta_regions;
-        report.dirty_blocks = self.dirty_blocks;
-        report.retractions = self.retractions;
         report
+    }
+
+    /// Counts one region under `label` in
+    /// [`strategy_regions`](RegionExecutor::strategy_regions), cloning
+    /// the label only the first time it appears.
+    fn tally_region(&mut self, label: &str) {
+        match self.strategy_regions.iter_mut().find(|(l, _)| l == label) {
+            Some((_, count)) => *count += 1,
+            None => self.strategy_regions.push((label.to_owned(), 1)),
+        }
     }
 
     /// Runs one **delta region**: applies `batch`'s changed contributions
@@ -619,14 +607,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         self.delta_regions += 1;
         self.dirty_blocks += stats.dirty_blocks;
         self.retractions += stats.retractions;
-        match self
-            .strategy_regions
-            .iter_mut()
-            .find(|(l, _)| l.as_str() == "delta")
-        {
-            Some((_, count)) => *count += 1,
-            None => self.strategy_regions.push(("delta".into(), 1)),
-        }
+        self.tally_region("delta");
         let scratch = self.delta.as_ref().map_or(0, |d| d.scratch_bytes());
         let region_secs = t0.elapsed().as_secs_f64();
         // Delta telemetry rides the standard counters: `applies` counts
@@ -660,17 +641,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             } else {
                 self.budget.max_scratch_bytes
             },
-            plan_build_secs: self.shared.plans.plan_build_secs(),
             planned_regions: self.shared.plans.planned_regions(),
-            migrations: self.migrations,
-            migration_secs: self.migration_secs,
-            strategy_regions: self.strategy_regions.clone(),
-            jobs: self.shared.jobs(),
-            batched_regions: self.shared.batched_regions(),
-            queue_wait_secs: self.shared.queue_wait_secs(),
-            delta_regions: self.delta_regions,
-            dirty_blocks: self.dirty_blocks,
-            retractions: self.retractions,
             counters,
             phases,
             merge_bandwidth,
@@ -792,21 +763,10 @@ where
     RunReport {
         strategy: red.name(),
         memory_overhead: red.memory_overhead(),
-        // Patched by `run_inner` after plan and migration bookkeeping
-        // settles.
+        // Patched by `run_inner` after plan bookkeeping settles.
         scratch_bytes: 0,
         budget_bytes: 0,
-        plan_build_secs: 0.0,
         planned_regions: 0,
-        migrations: 0,
-        migration_secs: 0.0,
-        strategy_regions: Vec::new(),
-        jobs: 0,
-        batched_regions: 0,
-        queue_wait_secs: 0.0,
-        delta_regions: 0,
-        dirty_blocks: 0,
-        retractions: 0,
         counters,
         phases,
         merge_bandwidth,
@@ -931,7 +891,7 @@ mod tests {
             );
             assert_eq!(recording.planned_regions, 0);
             assert!(recording.counters.totals().block_first_touches > 0);
-            assert!(recording.plan_build_secs > 0.0);
+            assert!(ex.plan_build_secs() > 0.0);
 
             let mut out = vec![0i64; 500];
             let replay = ex.run_planned(
@@ -1068,16 +1028,16 @@ mod tests {
         assert_eq!(ex.strategy(), Strategy::Atomic);
         assert_eq!(ex.migrations(), 1);
         assert!(ex.migration_secs() > 0.0);
-        // The report carries the migration telemetry and both epochs.
-        let report = last.unwrap();
-        assert_eq!(report.migrations, 1);
-        let labels: Vec<&str> = report
-            .strategy_regions
+        // The last report names the new strategy; the executor's region
+        // tally keeps both epochs.
+        assert_eq!(last.unwrap().strategy, "atomic");
+        let labels: Vec<&str> = ex
+            .strategy_regions()
             .iter()
             .map(|(l, _)| l.as_str())
             .collect();
         assert_eq!(labels, ["block-private-64", "atomic"]);
-        let regions: u64 = report.strategy_regions.iter().map(|(_, n)| n).sum();
+        let regions: u64 = ex.strategy_regions().iter().map(|(_, n)| n).sum();
         assert_eq!(regions, 12);
     }
 
@@ -1279,8 +1239,8 @@ mod tests {
         let n = 2048;
         let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::BlockPrivate { block_size: 64 });
         let mut out = vec![0i64; n];
-        // Baseline batch, then churn with retractions; every region's
-        // report must carry the cumulative delta telemetry.
+        // Baseline batch, then churn with retractions; the executor's
+        // delta counters accumulate across regions.
         let mut batch = crate::DeltaBatch::new();
         // Clustered in the first 128 elements: 2 of 32 delta blocks
         // dirty, well under the full-refold threshold.
@@ -1289,17 +1249,15 @@ mod tests {
         }
         let r1 = ex.run_delta(&pool, &mut out, &batch);
         assert_eq!(r1.strategy, "delta");
-        assert_eq!(r1.delta_regions, 1);
-        assert!(r1.dirty_blocks > 0);
-        assert_eq!(r1.retractions, 0);
+        assert_eq!(ex.delta_regions(), 1);
+        assert!(ex.dirty_blocks() > 0);
+        assert_eq!(ex.retractions(), 0);
 
         let mut b2 = crate::DeltaBatch::new();
         b2.retract((5 * 37) % 128, 5);
         b2.retract((9 * 37) % 128, 9);
         b2.push(3, 1000, -7);
-        let r2 = ex.run_delta(&pool, &mut out, &b2);
-        assert_eq!(r2.delta_regions, 2);
-        assert_eq!(r2.retractions, 2);
+        ex.run_delta(&pool, &mut out, &b2);
         assert_eq!(ex.delta_regions(), 2);
         assert_eq!(ex.retractions(), 2);
 
@@ -1313,23 +1271,23 @@ mod tests {
         }
         want[3] += -7;
         assert_eq!(out, want);
-        assert!(r2
-            .strategy_regions
+        assert!(ex
+            .strategy_regions()
             .iter()
             .any(|(l, c)| l == "delta" && *c == 2));
 
-        // A later full region's report carries the delta counters too.
+        // A later full region leaves the delta counters intact.
         let data: Vec<usize> = (0..500).map(|i| i % 50).collect();
         let mut full = vec![0i64; 50];
-        let rf = ex.run(
+        ex.run(
             &pool,
             &mut full,
             0..data.len(),
             Schedule::default(),
             &Histogram { data: &data },
         );
-        assert_eq!(rf.delta_regions, 2);
-        assert_eq!(rf.retractions, 2);
+        assert_eq!(ex.delta_regions(), 2);
+        assert_eq!(ex.retractions(), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! triggers a rebuild — see [`crate::BlockReduction::install_plan`].
 //!
 //! Unlike MKL's untimed inspection, the cost of building a plan is measured
-//! and reported (`RunReport::plan_build_secs`), so the comparison the
+//! and reported (`RegionExecutor::plan_build_secs`), so the comparison the
 //! `plan_amortize` bench makes is fair: it shows both the steady-state win
 //! and the number of regions needed to repay the recording overhead.
 
@@ -404,7 +404,7 @@ impl RegionPlan {
 ///   their build-time/replay stats) into the new epoch.
 ///
 /// Stale replays are safe without any locking across the region: `lookup`
-/// hands out an [`Arc`], so a concurrently cleared plan stays alive for
+/// hands out an [`Arc`](std::sync::Arc), so a concurrently cleared plan stays alive for
 /// the session already replaying it, and a replay of a plan that no
 /// longer matches the traffic self-heals through the deviation path.
 ///

@@ -490,6 +490,12 @@ impl PhaseBoard {
 /// telemetry the region recorded. Returned by every path through the
 /// [`crate::RegionExecutor`] ([`crate::reduce_strategy`],
 /// [`crate::reduce_dyn`], [`crate::ReusableReducer::run`]).
+///
+/// Every field describes this one region except `planned_regions`, the
+/// report's one cumulative field. Executor-lifetime totals (plan build
+/// time, migrations, per-strategy region tallies, delta totals, service
+/// admission counts) live behind the executor's getters and
+/// [`crate::ExecutorShared`], not in reports.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Strategy label (paper naming).
@@ -505,50 +511,12 @@ pub struct RunReport {
     /// The scratch budget in force when the region ran
     /// ([`crate::PlanBudget::max_scratch_bytes`]); `0` means unlimited.
     pub budget_bytes: usize,
-    /// Cumulative seconds the owning executor spent building region plans
-    /// (inspection). Reported so plan amortization is measured *fairly*,
-    /// unlike MKL's untimed `mkl_sparse_optimize` inspection; zero for
-    /// executors that never planned.
-    pub plan_build_secs: f64,
-    /// Regions (cumulative, per executor) that replayed a cached plan to
-    /// completion without deviating.
+    /// Regions that replayed a cached plan to completion without
+    /// deviating, counted over the executor's plan cache (so across
+    /// sessions sharing it) — the report's one **cumulative** field: a
+    /// caller tells whether this region replayed by subtracting the
+    /// previous report's value. Zero for executors that never planned.
     pub planned_regions: u64,
-    /// Strategy migrations (cumulative, per executor) performed so far —
-    /// adaptive-policy decisions and explicit
-    /// [`crate::RegionExecutor::migrate_to`] calls alike; zero for
-    /// one-shot runs.
-    pub migrations: u64,
-    /// Cumulative seconds spent inside the migration protocol (scratch
-    /// drain + plan invalidation + strategy switch).
-    pub migration_secs: f64,
-    /// Regions run per strategy label over the executor's lifetime, in
-    /// first-use order — after a migration this shows both epochs
-    /// (e.g. `[("block-private-1024", 40), ("atomic", 24)]`). Empty for
-    /// one-shot runs.
-    pub strategy_regions: Vec<(String, u64)>,
-    /// Jobs admitted (cumulative) through the reduction service whose
-    /// shared state produced this report; zero outside the service.
-    pub jobs: u64,
-    /// Service regions (cumulative) that coalesced two or more same-shape
-    /// jobs into one region; zero outside the service.
-    pub batched_regions: u64,
-    /// Cumulative seconds service jobs spent queued before their region
-    /// started (admission wait, not execution); zero outside the service.
-    /// Per-job results returned by the service carry that job's own wait
-    /// here instead of the cumulative sink.
-    pub queue_wait_secs: f64,
-    /// Delta regions (cumulative, per executor) run through
-    /// [`crate::RegionExecutor::run_delta`]; zero for executors that only
-    /// ran full regions.
-    pub delta_regions: u64,
-    /// Delta blocks staged dirty (cumulative) across the executor's delta
-    /// regions — the blocks whose logs or values a batch actually edited,
-    /// whether the region took the incremental path or the full-refold
-    /// fallback.
-    pub dirty_blocks: u64,
-    /// Retractions applied (cumulative) across the executor's delta
-    /// regions.
-    pub retractions: u64,
     /// Per-thread event counters the strategy recorded.
     pub counters: Telemetry,
     /// Per-phase wall times of the region.
@@ -587,21 +555,7 @@ impl RunReport {
             .field_u64("memory_overhead", self.memory_overhead as u64)
             .field_u64("scratch_bytes", self.scratch_bytes as u64)
             .field_u64("budget_bytes", self.budget_bytes as u64)
-            .field_f64("plan_build_secs", self.plan_build_secs)
             .field_u64("planned_regions", self.planned_regions)
-            .field_u64("migrations", self.migrations)
-            .field_f64("migration_secs", self.migration_secs);
-        w.key("strategy_regions").begin_obj();
-        for (label, n) in &self.strategy_regions {
-            w.field_u64(label, *n);
-        }
-        w.end_obj()
-            .field_u64("jobs", self.jobs)
-            .field_u64("batched_regions", self.batched_regions)
-            .field_f64("queue_wait_secs", self.queue_wait_secs)
-            .field_u64("delta_regions", self.delta_regions)
-            .field_u64("dirty_blocks", self.dirty_blocks)
-            .field_u64("retractions", self.retractions)
             .field_f64("merge_bandwidth", self.merge_bandwidth);
         w.key("phases");
         self.phases.write_json(&mut w);
@@ -719,17 +673,7 @@ mod tests {
             memory_overhead: 4096,
             scratch_bytes: 2048,
             budget_bytes: 3072,
-            plan_build_secs: 0.03125,
             planned_regions: 9,
-            migrations: 2,
-            migration_secs: 0.0625,
-            strategy_regions: vec![("block-CAS-1024".into(), 7), ("atomic".into(), 2)],
-            jobs: 11,
-            batched_regions: 3,
-            queue_wait_secs: 0.015625,
-            delta_regions: 5,
-            dirty_blocks: 17,
-            retractions: 6,
             counters: Telemetry {
                 per_thread: vec![
                     Counters {
@@ -758,17 +702,7 @@ mod tests {
             "\"memory_overhead\": 4096",
             "\"scratch_bytes\": 2048",
             "\"budget_bytes\": 3072",
-            "\"plan_build_secs\": 0.03125",
             "\"planned_regions\": 9",
-            "\"migrations\": 2",
-            "\"migration_secs\": 0.0625",
-            "\"strategy_regions\": {\"block-CAS-1024\": 7, \"atomic\": 2}",
-            "\"jobs\": 11",
-            "\"batched_regions\": 3",
-            "\"queue_wait_secs\": 0.015625",
-            "\"delta_regions\": 5",
-            "\"dirty_blocks\": 17",
-            "\"retractions\": 6",
             "\"merge_bandwidth\": 256.0",
             "\"loop_secs\": 0.5",
             "\"applies\": 7",

@@ -87,7 +87,7 @@ proptest! {
                     "{}: planned region {} diverges", label, region
                 );
                 prop_assert!(
-                    report.plan_build_secs >= 0.0,
+                    ex.plan_build_secs() >= 0.0,
                     "{}: negative plan build time", label
                 );
                 // With a static schedule the replayed footprint matches

@@ -2,10 +2,7 @@
 
 use crate::Graph;
 use ompsim::{Schedule, ThreadPool};
-use spray::{
-    reduce_strategy, ExecutorPolicy, Kernel, Min, PlanBudget, ReducerView, ReusableReducer,
-    RunReport, Strategy, Sum,
-};
+use spray::{reduce_strategy, Kernel, Min, ReducerView, ReusableReducer, RunReport, Strategy, Sum};
 
 /// Outcome of [`pagerank`].
 #[derive(Debug, Clone)]
@@ -26,26 +23,11 @@ pub struct PageRankResult {
     pub total_applies: u64,
 }
 
-/// Pushes vertex `u`'s contribution `damping · rank/outdeg` to each of
-/// its successors. Computing it per vertex inside the parallel push
-/// spares a serial pass over all vertices before every region. A
-/// dangling vertex has no successors and pushes nothing; its mass is
-/// spread through the base rank instead.
-#[inline]
-fn push<V: ReducerView<f64> + ?Sized>(
-    g: &Graph,
-    ranks: &[f64],
-    damping: f64,
-    view: &mut V,
-    u: usize,
-) {
-    let succ = g.out_neighbors(u);
-    let c = damping * ranks[u] / succ.len() as f64;
-    for &v in succ {
-        view.apply(v as usize, c);
-    }
-}
-
+/// Pushes each vertex `u`'s contribution `damping · rank/outdeg` to its
+/// successors. Computing it per vertex inside the parallel push spares a
+/// serial pass over all vertices before every region. A dangling vertex
+/// has no successors and pushes nothing; its mass is spread through the
+/// base rank instead.
 struct PushKernel<'a> {
     g: &'a Graph,
     ranks: &'a [f64],
@@ -55,7 +37,11 @@ struct PushKernel<'a> {
 impl Kernel<f64> for PushKernel<'_> {
     #[inline]
     fn item<V: ReducerView<f64>>(&self, view: &mut V, u: usize) {
-        push(self.g, self.ranks, self.damping, view, u);
+        let succ = self.g.out_neighbors(u);
+        let c = self.damping * self.ranks[u] / succ.len() as f64;
+        for &v in succ {
+            view.apply(v as usize, c);
+        }
     }
 }
 
@@ -89,74 +75,11 @@ fn base_rank(ranks: &[f64], dangling: &[u32], damping: f64) -> f64 {
 /// the edges they push rather than the vertices they own: on power-law
 /// graphs a static vertex split is badly skewed (on R-MAT, out-degree
 /// follows the vertex's bit pattern, and a two-thread static split hands
-/// thread 0 about three quarters of the edges). See
-/// [`pagerank_with_budget`] for the one case that stays static.
+/// thread 0 about three quarters of the edges).
 pub fn pagerank(
     pool: &ThreadPool,
     g: &Graph,
     strategy: Strategy,
-    damping: f64,
-    tol: f64,
-    max_iters: usize,
-) -> PageRankResult {
-    pagerank_with_policy(
-        pool,
-        g,
-        strategy,
-        ExecutorPolicy::Fixed,
-        damping,
-        tol,
-        max_iters,
-    )
-}
-
-/// [`pagerank`] with an explicit [`ExecutorPolicy`]: under
-/// [`ExecutorPolicy::Adaptive`] the scatter executor may migrate
-/// strategies between power iterations as the cost model sees fit; the
-/// final report's `migrations`/`strategy_regions` record what it did.
-pub fn pagerank_with_policy(
-    pool: &ThreadPool,
-    g: &Graph,
-    strategy: Strategy,
-    policy: ExecutorPolicy,
-    damping: f64,
-    tol: f64,
-    max_iters: usize,
-) -> PageRankResult {
-    pagerank_with_budget(
-        pool,
-        g,
-        strategy,
-        policy,
-        PlanBudget::UNLIMITED,
-        damping,
-        tol,
-        max_iters,
-    )
-}
-
-/// [`pagerank_with_policy`] with a [`PlanBudget`] cap on the scatter's
-/// privatized scratch. Power-law graphs concentrate in-edges on a few
-/// hub blocks; under a tight budget the plan keeps those hot blocks
-/// privatized and demotes the long cold tail to batched striped-lock
-/// updates, so memory stays bounded while the hubs stay fast. The final
-/// report's `scratch_bytes`/`budget_bytes` record the footprint actually
-/// used.
-///
-/// Schedule: an unlimited budget runs the push under
-/// `Schedule::dynamic(64)` (balanced by edges; see [`pagerank`]). A finite
-/// budget keeps `Schedule::default()`, a static split: the budget lives in
-/// the recorded region plan and holds only while each thread's block
-/// footprint repeats from one power iteration to the next. Dynamic chunks
-/// move vertices between threads every iteration, so replays deviate, and
-/// deviating blocks privatize outside the budget.
-#[allow(clippy::too_many_arguments)]
-pub fn pagerank_with_budget(
-    pool: &ThreadPool,
-    g: &Graph,
-    strategy: Strategy,
-    policy: ExecutorPolicy,
-    budget: PlanBudget,
     damping: f64,
     tol: f64,
     max_iters: usize,
@@ -169,13 +92,7 @@ pub fn pagerank_with_budget(
     // Reducer scratch survives the rank-vector swap: block strategies
     // allocate their base tables and private copies once, on the first
     // power iteration.
-    let mut reducer = ReusableReducer::<f64, Sum>::with_policy(strategy, policy);
-    reducer.set_budget(budget);
-    let schedule = if budget.is_unlimited() {
-        Schedule::dynamic(64)
-    } else {
-        Schedule::default()
-    };
+    let mut reducer = ReusableReducer::<f64, Sum>::new(strategy);
     let mut last_report = None;
     let mut total_applies = 0u64;
 
@@ -188,77 +105,9 @@ pub fn pagerank_with_budget(
         };
         // The push pattern is the graph's CSR structure — identical every
         // power iteration — so one recorded plan replays for all of them.
-        let report = reducer.run_planned(0, pool, &mut next, 0..n, schedule, &kernel);
+        let report = reducer.run_planned(0, pool, &mut next, 0..n, Schedule::dynamic(64), &kernel);
         total_applies += report.counters.totals().applies;
         last_report = Some(report);
-        let delta: f64 = ranks.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut ranks, &mut next);
-        if delta < tol {
-            return PageRankResult {
-                ranks,
-                iterations: it,
-                converged: true,
-                report: last_report,
-                total_applies,
-            };
-        }
-    }
-    PageRankResult {
-        ranks,
-        iterations: max_iters,
-        converged: false,
-        report: last_report,
-        total_applies,
-    }
-}
-
-/// [`pagerank`] submitting each power iteration's scatter through a
-/// shared [`spray_service::ReductionService`] instead of a private
-/// executor: the service's pool and plan cache are multiplexed with
-/// whatever else the process is reducing, and same-shape jobs from
-/// other tenants may batch into the same regions.
-///
-/// `class` is the service shape class for this graph's scatter — use a
-/// distinct value per graph so cached plans replay instead of healing
-/// (colliding classes stay correct, just unamortized). The strategy,
-/// schedule and policy come from the service's own configuration.
-pub fn pagerank_via_service(
-    svc: &spray_service::ReductionService<f64, Sum>,
-    g: &Graph,
-    class: u64,
-    damping: f64,
-    tol: f64,
-    max_iters: usize,
-) -> PageRankResult {
-    let n = g.num_vertices();
-    assert!(n > 0, "empty graph");
-    let mut ranks = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
-    let dangling = dangling_vertices(g);
-    let mut last_report = None;
-    let mut total_applies = 0u64;
-
-    for it in 1..=max_iters {
-        next.fill(base_rank(&ranks, &dangling, damping));
-        // One scoped job per power iteration: the body borrows the graph
-        // and the previous ranks, and computes each contribution as it
-        // pushes; the rank vector travels with the job and comes back
-        // merged.
-        let prev: &[f64] = &ranks;
-        let job = spray_service::Job {
-            tenant: class,
-            class,
-            out: std::mem::take(&mut next),
-            iters: n,
-            body: Box::new(move |view, u| push(g, prev, damping, view, u)),
-        };
-        let result = svc
-            .run_scoped(vec![job])
-            .pop()
-            .expect("one job in, one out");
-        next = result.out;
-        total_applies += result.report.counters.totals().applies;
-        last_report = Some(result.report);
         let delta: f64 = ranks.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut ranks, &mut next);
         if delta < tol {
@@ -302,20 +151,9 @@ impl Kernel<u64> for LabelKernel<'_> {
 /// Returns the per-vertex component label (the minimum vertex id of the
 /// component).
 pub fn connected_components(pool: &ThreadPool, g: &Graph, strategy: Strategy) -> Vec<u64> {
-    connected_components_with_policy(pool, g, strategy, ExecutorPolicy::Fixed)
-}
-
-/// [`connected_components`] with an explicit [`ExecutorPolicy`] for the
-/// label-propagation scatter executor.
-pub fn connected_components_with_policy(
-    pool: &ThreadPool,
-    g: &Graph,
-    strategy: Strategy,
-    policy: ExecutorPolicy,
-) -> Vec<u64> {
     let n = g.num_vertices();
     let mut labels: Vec<u64> = (0..n as u64).collect();
-    let mut reducer = ReusableReducer::<u64, Min>::with_policy(strategy, policy);
+    let mut reducer = ReusableReducer::<u64, Min>::new(strategy);
     loop {
         let prev = labels.clone();
         let kernel = LabelKernel { g, prev: &prev };
@@ -600,33 +438,6 @@ mod tests {
         assert!(r.ranks[2] > r.ranks[3]);
     }
 
-    #[test]
-    fn pagerank_via_service_matches_direct() {
-        // Irregular degrees (extra fan-in on low vertices, one dangling
-        // vertex) so the power iteration needs several regions to settle.
-        let mut edges: Vec<(usize, usize)> = (0..59)
-            .flat_map(|u| vec![(u, (u * 7 + 1) % 60), (u, u % 13)])
-            .collect();
-        edges.extend((0..20).map(|u| (u, 59)));
-        let g = Graph::from_edges(60, &edges);
-        let strategy = Strategy::BlockCas { block_size: 16 };
-        let direct = pagerank(&pool(), &g, strategy, 0.85, 1e-12, 100);
-        let svc = spray_service::ReductionService::<f64, Sum>::new(spray_service::ServiceConfig {
-            threads: 4,
-            strategy,
-            ..spray_service::ServiceConfig::default()
-        });
-        let via = pagerank_via_service(&svc, &g, 1, 0.85, 1e-12, 100);
-        assert_eq!(via.converged, direct.converged);
-        assert_eq!(via.iterations, direct.iterations);
-        for (a, b) in via.ranks.iter().zip(&direct.ranks) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        assert!(svc.shared().jobs() >= via.iterations as u64);
-        // Iterations replay one cached plan: all but the first are planned.
-        assert!(via.report.unwrap().planned_regions > 0);
-    }
-
     /// Push-style power iteration with the contribution pass kept apart
     /// from the push: every iteration first divides each rank by its
     /// out-degree into a contribution vector, then `scatter(contrib,
@@ -773,30 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_matches_fixed_results() {
-        // An adaptive executor may migrate strategies between iterations;
-        // every strategy is exact (up to float reassociation), so the
-        // results must match the fixed-policy run regardless of what the
-        // cost model decides.
-        let g = Graph::de_bruijn(8);
-        let strategy = Strategy::BlockPrivate { block_size: 64 };
-        let policy = ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default());
-
-        let fixed = pagerank(&pool(), &g, strategy, 0.85, 1e-12, 100);
-        let adaptive =
-            pagerank_with_policy(&pool(), &g, strategy, policy.clone(), 0.85, 1e-12, 100);
-        assert_eq!(fixed.iterations, adaptive.iterations);
-        for (x, y) in fixed.ranks.iter().zip(&adaptive.ranks) {
-            assert!((x - y).abs() < 1e-9);
-        }
-
-        let sym = g.symmetrized();
-        let want = connected_components(&pool(), &sym, strategy);
-        let got = connected_components_with_policy(&pool(), &sym, strategy, policy);
-        assert_eq!(want, got);
-    }
-
-    #[test]
     fn pagerank_strategies_agree() {
         let g = Graph::de_bruijn(8);
         let a = pagerank(&pool(), &g, Strategy::Dense, 0.85, 1e-12, 100);
@@ -805,62 +592,6 @@ mod tests {
             assert_eq!(a.iterations, b.iterations);
             for (x, y) in a.ranks.iter().zip(&b.ranks) {
                 assert!((x - y).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn pagerank_budgeted_agree() {
-        let g = Graph::de_bruijn(9);
-        let want = pagerank(&pool(), &g, Strategy::Dense, 0.85, 1e-12, 60);
-        // A budget-demoted block scatter must reproduce the unbudgeted
-        // ranks; zero budget (everything demoted) is the stress case.
-        let configs = [
-            (
-                Strategy::BlockPrivate { block_size: 64 },
-                PlanBudget::new(0),
-            ),
-            (
-                Strategy::BlockPrivate { block_size: 64 },
-                PlanBudget::new(4096),
-            ),
-        ];
-        for (strategy, budget) in configs {
-            let got = pagerank_with_budget(
-                &pool(),
-                &g,
-                strategy,
-                ExecutorPolicy::Fixed,
-                budget,
-                0.85,
-                1e-12,
-                60,
-            );
-            assert_eq!(want.iterations, got.iterations, "{}", strategy.label());
-            for (x, y) in want.ranks.iter().zip(&got.ranks) {
-                assert!((x - y).abs() < 1e-9, "{}", strategy.label());
-            }
-            let report = got.report.expect("ran at least one iteration");
-            // The budget lives in the recorded plan: every iteration after
-            // the first must replay it cleanly (a static footprint).
-            assert_eq!(
-                report.planned_regions,
-                got.iterations as u64 - 1,
-                "{}: budgeted solve stopped replaying",
-                strategy.label()
-            );
-            if budget.is_unlimited() {
-                assert_eq!(report.budget_bytes, 0, "unlimited encodes as 0");
-            } else {
-                assert_eq!(report.budget_bytes, budget.max_scratch_bytes);
-                // Planned block scratch is exactly what the budget caps.
-                assert!(
-                    report.scratch_bytes <= budget.max_scratch_bytes,
-                    "{}: scratch {} over budget {}",
-                    strategy.label(),
-                    report.scratch_bytes,
-                    budget.max_scratch_bytes
-                );
             }
         }
     }

@@ -28,8 +28,7 @@ mod sssp;
 mod stream;
 
 pub use algo::{
-    bfs, connected_components, in_degrees, k_core, pagerank, pagerank_via_service,
-    pagerank_with_budget, pagerank_with_policy, triangle_counts, PageRankResult,
+    bfs, connected_components, in_degrees, k_core, pagerank, triangle_counts, PageRankResult,
 };
 pub use graph::Graph;
 pub use sssp::{sssp, WeightedGraph};

@@ -8,7 +8,7 @@
 
 use crate::Graph;
 use ompsim::{Schedule, ThreadPool};
-use spray::{ExecutorPolicy, Kernel, Min, ReducerView, ReusableReducer, Strategy};
+use spray::{Kernel, Min, ReducerView, ReusableReducer, Strategy};
 
 /// A directed graph with nonnegative `f64` edge weights, sharing
 /// [`Graph`]'s CSR topology.
@@ -79,22 +79,6 @@ impl Kernel<f64> for RelaxAll<'_> {
 /// # Panics
 /// Panics if `src` is out of range.
 pub fn sssp(pool: &ThreadPool, g: &WeightedGraph, src: usize, strategy: Strategy) -> Vec<f64> {
-    sssp_with_policy(pool, g, src, strategy, ExecutorPolicy::Fixed)
-}
-
-/// [`sssp`] with an explicit [`ExecutorPolicy`] for the relaxation
-/// executor: under [`ExecutorPolicy::Adaptive`] the executor may migrate
-/// strategies between rounds as the relaxation footprint grows.
-///
-/// # Panics
-/// Panics if `src` is out of range.
-pub fn sssp_with_policy(
-    pool: &ThreadPool,
-    g: &WeightedGraph,
-    src: usize,
-    strategy: Strategy,
-    policy: ExecutorPolicy,
-) -> Vec<f64> {
     let n = g.num_vertices();
     assert!(src < n, "source {src} out of range");
     let mut dist = vec![f64::INFINITY; n];
@@ -103,7 +87,7 @@ pub fn sssp_with_policy(
     // point. Each round relaxes against the previous round's distances
     // (Jacobi-style) so the reduction output never aliases its input. The
     // reusable reducer carries block scratch across relaxation rounds.
-    let mut reducer = ReusableReducer::<f64, Min>::with_policy(strategy, policy);
+    let mut reducer = ReusableReducer::<f64, Min>::new(strategy);
     for _ in 0..n.max(1) {
         let prev = dist.clone();
         let kernel = RelaxAll { g, dist: &prev };
@@ -203,35 +187,6 @@ mod tests {
                     strategy.label()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn adaptive_policy_matches_dijkstra() {
-        let g = WeightedGraph::from_edges(
-            6,
-            &[
-                (0, 1, 1.0),
-                (1, 2, 2.0),
-                (0, 2, 5.0),
-                (2, 3, 0.5),
-                (3, 4, 1.25),
-                (1, 4, 9.0),
-            ],
-        );
-        let want = dijkstra(&g, 0);
-        let got = sssp_with_policy(
-            &pool(),
-            &g,
-            0,
-            Strategy::BlockPrivate { block_size: 8 },
-            ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default()),
-        );
-        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),
-                "adaptive at {i}: {a} vs {b}"
-            );
         }
     }
 

@@ -19,7 +19,7 @@
 use crate::domain::Domain;
 use crate::hex::{node_normals, GAMMA};
 use ompsim::{Schedule, ThreadPool};
-use spray::{ExecutorPolicy, Kernel, PlanBudget, ReducerView, ReusableReducer, Strategy, Sum};
+use spray::{Kernel, ReducerView, ReusableReducer, Strategy, Sum};
 
 /// How nodal force contributions are accumulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,38 +208,10 @@ pub struct ForceAccum {
 impl ForceAccum {
     /// Fresh accumulation state for `scheme` (no scratch retained yet).
     pub fn new(scheme: ForceScheme) -> Self {
-        Self::with_policy(scheme, ExecutorPolicy::Fixed)
-    }
-
-    /// Like [`ForceAccum::new`] with an explicit [`ExecutorPolicy`] for
-    /// the spray reducers: under [`ExecutorPolicy::Adaptive`] each pass's
-    /// executor may migrate strategies between timestep sweeps. Ignored
-    /// by the non-spray schemes.
-    pub fn with_policy(scheme: ForceScheme, policy: ExecutorPolicy) -> Self {
-        Self::with_budget(scheme, policy, PlanBudget::UNLIMITED)
-    }
-
-    /// Like [`ForceAccum::with_policy`] with a [`PlanBudget`] cap on each
-    /// sweep's privatized scratch — the knob LULESH's own 8-copy scheme
-    /// lacks (it always pays 8 full nodal replicas). Both the stress and
-    /// hourglass passes run under the cap: their element→node scatter
-    /// plans demote the costliest shared node blocks to batched
-    /// striped-lock updates until the projection fits. Ignored by the
-    /// non-spray schemes.
-    pub fn with_budget(scheme: ForceScheme, policy: ExecutorPolicy, budget: PlanBudget) -> Self {
         ForceAccum {
             scheme,
             reducers: match scheme {
-                ForceScheme::Spray(s) => {
-                    let mut pair = [
-                        ReusableReducer::with_policy(s, policy.clone()),
-                        ReusableReducer::with_policy(s, policy),
-                    ];
-                    for r in &mut pair {
-                        r.set_budget(budget);
-                    }
-                    Some(pair)
-                }
+                ForceScheme::Spray(s) => Some([ReusableReducer::new(s), ReusableReducer::new(s)]),
                 _ => None,
             },
             copies: Vec::new(),
@@ -351,83 +323,6 @@ pub fn calc_force_for_nodes(d: &mut Domain, pool: &ThreadPool, scheme: ForceSche
     calc_force_for_nodes_with(d, pool, &mut ForceAccum::new(scheme))
 }
 
-/// Computes all nodal forces into `d.f` by submitting the stress and
-/// hourglass sweeps as **two concurrent jobs** to a shared
-/// [`spray_service::ReductionService`] (whose configuration supplies
-/// strategy, schedule and pool — there is no scheme choice here).
-///
-/// The two sweeps scatter along the same element→node incidence into
-/// same-length outputs, so the service coalesces them into a single
-/// batched region when its window allows: one plan, one merge schedule,
-/// both sweeps' corner forces applied in one parallel phase. Each sweep
-/// reduces into its own segment; their sums combine into `d.f`
-/// afterwards, which reassociates the stress/hourglass addition exactly
-/// like the zero-initialized two-pass accumulation in
-/// [`calc_force_for_nodes_with`].
-///
-/// `class` identifies the mesh shape (use one value per mesh so the
-/// recorded incidence plan replays across timesteps).
-pub fn calc_force_for_nodes_service(
-    d: &mut Domain,
-    svc: &spray_service::ReductionService<f64, Sum>,
-    class: u64,
-) -> ForceStats {
-    let nelem = d.nelem();
-    let mut f = std::mem::take(&mut d.f);
-    f.fill(0.0);
-    let flen = f.len();
-    let dref: &Domain = d;
-    let jobs: Vec<spray_service::Job<'_, f64>> =
-        [(Pass::Stress, f), (Pass::Hourglass, vec![0.0; flen])]
-            .into_iter()
-            .map(|(pass, out)| spray_service::Job {
-                // Distinct tenants so both sweeps are head-of-line at once
-                // (one tenant would serialize them FIFO, forfeiting the batch).
-                tenant: pass as u64,
-                class,
-                out,
-                iters: nelem,
-                body: Box::new(move |view, e| {
-                    // `ForceKernel::item` inlined: its generic view parameter
-                    // cannot take the service's `&mut dyn ReducerView` directly.
-                    let (fx, fy, fz) = match pass {
-                        Pass::Stress => stress_corner_forces(dref, e),
-                        Pass::Hourglass => hourglass_corner_forces(dref, e),
-                    };
-                    let en = &dref.mesh.elem_node[e];
-                    for k in 0..8 {
-                        let n = en[k] as usize * 3;
-                        view.apply(n, fx[k]);
-                        view.apply(n + 1, fy[k]);
-                        view.apply(n + 2, fz[k]);
-                    }
-                }),
-            })
-            .collect();
-    let mut results = svc.run_scoped(jobs);
-    let hourglass = results.pop().expect("hourglass job");
-    let stress = results.pop().expect("stress job");
-    let mut f = stress.out;
-    for (fi, hg) in f.iter_mut().zip(&hourglass.out) {
-        *fi += hg;
-    }
-    d.f = f;
-    // When the sweeps coalesced into one region its counters already
-    // cover both; separate regions are summed.
-    let applies = if stress.batch_size == 2 && hourglass.batch_size == 2 {
-        stress.report.counters.totals().applies
-    } else {
-        stress.report.counters.totals().applies + hourglass.report.counters.totals().applies
-    };
-    ForceStats {
-        memory_overhead: stress
-            .report
-            .memory_overhead
-            .max(hourglass.report.memory_overhead),
-        applies,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,115 +365,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn budgeted_forces_match_sequential() {
-        let reference = forces_with(ForceScheme::Seq, 1);
-        let scale: f64 = reference.iter().fold(0.0, |a, &b| a.max(b.abs()));
-        assert!(scale > 0.0, "reference forces are all zero");
-
-        // Budget ladder on the block plan (zero demotes every shared node
-        // block); repeated sweeps also cover the plan-replay path under
-        // demotion.
-        let configs = [
-            (
-                ForceScheme::Spray(Strategy::BlockPrivate { block_size: 64 }),
-                PlanBudget::new(0),
-            ),
-            (
-                ForceScheme::Spray(Strategy::BlockPrivate { block_size: 64 }),
-                PlanBudget::new(4096),
-            ),
-        ];
-        for (scheme, budget) in configs {
-            let mut d = Domain::new(4, Params::default());
-            for n in 0..d.nnode() {
-                d.xd[n] = ((n * 13 % 7) as f64 - 3.0) * 1e3;
-                d.yd[n] = ((n * 5 % 11) as f64 - 5.0) * 1e3;
-                d.zd[n] = ((n * 17 % 5) as f64 - 2.0) * 1e3;
-            }
-            let pool = ThreadPool::new(4);
-            let mut accum = ForceAccum::with_budget(scheme, ExecutorPolicy::Fixed, budget);
-            for step in 0..3 {
-                calc_force_for_nodes_with(&mut d, &pool, &mut accum);
-                for (i, (&got, &want)) in d.f.iter().zip(&reference).enumerate() {
-                    assert!(
-                        (got - want).abs() < 1e-9 * scale,
-                        "{} budget {budget:?} step {step} differs at {i}: {got} vs {want}",
-                        scheme.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_policy_matches_sequential_forces() {
-        let reference = forces_with(ForceScheme::Seq, 1);
-        let scale: f64 = reference.iter().fold(0.0, |a, &b| a.max(b.abs()));
-        assert!(scale > 0.0, "reference forces are all zero");
-
-        let mut d = Domain::new(4, Params::default());
-        for n in 0..d.nnode() {
-            d.xd[n] = ((n * 13 % 7) as f64 - 3.0) * 1e3;
-            d.yd[n] = ((n * 5 % 11) as f64 - 5.0) * 1e3;
-            d.zd[n] = ((n * 17 % 5) as f64 - 2.0) * 1e3;
-        }
-        let pool = ThreadPool::new(4);
-        let mut accum = ForceAccum::with_policy(
-            ForceScheme::Spray(Strategy::BlockPrivate { block_size: 64 }),
-            ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default()),
-        );
-        // Several timesteps' worth of sweeps so the cost model gets a
-        // chance to migrate; every sweep must stay exact either way.
-        for step in 0..4 {
-            calc_force_for_nodes_with(&mut d, &pool, &mut accum);
-            for (i, (&got, &want)) in d.f.iter().zip(&reference).enumerate() {
-                assert!(
-                    (got - want).abs() < 1e-9 * scale,
-                    "adaptive step {step} differs at {i}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn service_forces_agree_with_sequential() {
-        let reference = forces_with(ForceScheme::Seq, 1);
-        let scale: f64 = reference.iter().fold(0.0, |a, &b| a.max(b.abs()));
-        assert!(scale > 0.0, "reference forces are all zero");
-
-        let mut d = Domain::new(4, Params::default());
-        for n in 0..d.nnode() {
-            d.xd[n] = ((n * 13 % 7) as f64 - 3.0) * 1e3;
-            d.yd[n] = ((n * 5 % 11) as f64 - 5.0) * 1e3;
-            d.zd[n] = ((n * 17 % 5) as f64 - 2.0) * 1e3;
-        }
-        let svc = spray_service::ReductionService::<f64, Sum>::new(spray_service::ServiceConfig {
-            threads: 4,
-            strategy: Strategy::BlockCas { block_size: 64 },
-            batch_window: 2,
-            ..spray_service::ServiceConfig::default()
-        });
-        let mut batched = 0u64;
-        for step in 0..4 {
-            let stats = calc_force_for_nodes_service(&mut d, &svc, 1);
-            assert!(stats.applies > 0, "service sweeps bypassed the reducers");
-            batched = svc.shared().batched_regions();
-            for (i, (&got, &want)) in d.f.iter().zip(&reference).enumerate() {
-                assert!(
-                    (got - want).abs() < 1e-9 * scale,
-                    "service step {step} differs at {i}: {got} vs {want}"
-                );
-            }
-        }
-        assert_eq!(svc.shared().jobs(), 8);
-        // Both sweeps of a step are submitted together before either is
-        // awaited, so at least some steps must coalesce them. (Timing
-        // could in principle split a step's pair; across 4 steps on a
-        // blocked submitter that would leave a telltale zero.)
-        assert!(batched > 0, "stress+hourglass never shared a region");
     }
 
     #[test]

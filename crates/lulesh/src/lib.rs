@@ -50,8 +50,8 @@ mod vtk;
 pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
 pub use domain::{Domain, Params, QMode};
 pub use forces::{
-    calc_force_for_nodes, calc_force_for_nodes_service, calc_force_for_nodes_with, ForceAccum,
-    ForceScheme, ForceStats, ParseForceSchemeError,
+    calc_force_for_nodes, calc_force_for_nodes_with, ForceAccum, ForceScheme, ForceStats,
+    ParseForceSchemeError,
 };
 pub use hex::{char_length, elem_volume, node_normals, GAMMA};
 pub use history::{run_with_history, CycleStats, History};

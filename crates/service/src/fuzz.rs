@@ -23,10 +23,11 @@ use spray::{AdaptiveConfig, ExecutorPolicy, Strategy, Sum};
 pub struct ServiceOutcome {
     /// `Ok` when both runs matched the sequential loop bit-for-bit.
     pub result: Result<(), String>,
-    /// Strategy migrations the service sessions performed across both
-    /// runs (planted + cost-model); the sweep checks the aggregate so
-    /// the mode keeps its teeth.
-    pub migrations: u64,
+    /// Jobs, across both runs, whose region ran on a strategy other than
+    /// the configured start strategy — each one ran after a planted or
+    /// cost-model migration. The sweep checks the aggregate so the mode
+    /// keeps its teeth.
+    pub off_start_jobs: u64,
 }
 
 /// One deterministic scatter job derived from `(seed, j)`.
@@ -152,10 +153,20 @@ fn check_outputs(
     Ok(())
 }
 
+/// Jobs in `results` whose region did not run on `start`.
+fn count_off_start(start: Strategy, results: &[(usize, JobResult<i64>)]) -> u64 {
+    let label = start.label();
+    results
+        .iter()
+        .filter(|(_, r)| r.report.strategy != label)
+        .count() as u64
+}
+
 /// One service fuzz iteration; see the module docs for the full shape.
 pub fn service_case(seed: u64) -> ServiceOutcome {
     let jobs = case_jobs(seed);
-    let mut migrations = 0u64;
+    let start = service_cfg(seed, 1, false).strategy;
+    let mut off_start_jobs = 0u64;
 
     // Run A: serial submission, no batching, inline epilogues.
     let serial: Vec<(usize, JobResult<i64>)> = {
@@ -166,17 +177,13 @@ pub fn service_case(seed: u64) -> ServiceOutcome {
             .enumerate()
             .map(|(j, cj)| (j, svc.submit(cj.to_job()).wait()))
             .collect::<Vec<_>>();
-        migrations += out
-            .iter()
-            .map(|(_, r)| r.report.migrations)
-            .max()
-            .unwrap_or(0);
+        off_start_jobs += count_off_start(start, &out);
         out
     };
     if let Err(e) = check_outputs("serial", seed, &jobs, &serial) {
         return ServiceOutcome {
             result: Err(e),
-            migrations,
+            off_start_jobs,
         };
     }
 
@@ -212,17 +219,13 @@ pub fn service_case(seed: u64) -> ServiceOutcome {
                 .collect::<Vec<_>>()
         });
         out.sort_by_key(|(j, _)| *j);
-        migrations += out
-            .iter()
-            .map(|(_, r)| r.report.migrations)
-            .max()
-            .unwrap_or(0);
+        off_start_jobs += count_off_start(start, &out);
         out
     };
     if let Err(e) = check_outputs("concurrent", seed, &jobs, &concurrent) {
         return ServiceOutcome {
             result: Err(e),
-            migrations,
+            off_start_jobs,
         };
     }
 
@@ -235,14 +238,14 @@ pub fn service_case(seed: u64) -> ServiceOutcome {
                 result: Err(format!(
                     "seed {seed}: job {j} serial vs concurrent submission diverge"
                 )),
-                migrations,
+                off_start_jobs,
             };
         }
     }
 
     ServiceOutcome {
         result: Ok(()),
-        migrations,
+        off_start_jobs,
     }
 }
 
@@ -252,15 +255,15 @@ mod tests {
 
     #[test]
     fn a_few_seeds_pass() {
-        let mut migrations = 0;
+        let mut off_start_jobs = 0;
         for seed in 0..4 {
             let o = service_case(seed);
             o.result.unwrap();
-            migrations += o.migrations;
+            off_start_jobs += o.off_start_jobs;
         }
         // With migrate_per_mille >= 250 across four seeds, at least one
-        // planted migration is overwhelmingly likely; a zero here means
-        // the envelope is wired wrong, not bad luck.
-        assert!(migrations > 0, "no seed planted a migration");
+        // job running after a planted migration is overwhelmingly likely;
+        // a zero here means the envelope is wired wrong, not bad luck.
+        assert!(off_start_jobs > 0, "no job ran off the start strategy");
     }
 }

@@ -31,7 +31,7 @@
 //! bit-identical to the sequential loop no matter how jobs are batched
 //! or interleaved; floats reassociate within a region exactly as a
 //! standalone region of the same strategy would. The `verify`-gated
-//! [`fuzz`] module turns that claim into a seeded differential oracle
+//! `fuzz` module turns that claim into a seeded differential oracle
 //! (`schedule_fuzz --service`).
 //!
 //! See DESIGN.md §9 for the session-vs-shared state split and the
@@ -122,11 +122,10 @@ pub struct JobResult<T> {
     /// The job's output array with all contributions merged.
     pub out: Vec<T>,
     /// Telemetry of the region that ran this job (shared verbatim by
-    /// every job coalesced into the same region), with
-    /// [`RunReport::queue_wait_secs`] overridden to this job's own
-    /// admission wait.
+    /// every job coalesced into the same region).
     pub report: RunReport,
-    /// Time from submission to admission into a region.
+    /// Time from submission to admission into a region: the job's own
+    /// queue wait, and the service's only queue-wait figure.
     pub queue_wait: Duration,
     /// Jobs coalesced into this job's region (1 = ran alone).
     pub batch_size: usize,
@@ -397,8 +396,8 @@ impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
             .iter()
             .map(|q| admitted.duration_since(q.enqueued))
             .collect();
-        for &w in &waits {
-            self.shared.note_job(w);
+        for _ in 0..k {
+            self.shared.note_job();
         }
         self.shared.note_region(k as u64);
 
@@ -440,7 +439,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
                 Arc::clone(&self.shared),
             )
         });
-        let mut report = session.run_planned(
+        let report = session.run_planned(
             region_id(class, n, k),
             &self.pool,
             &mut concat,
@@ -449,9 +448,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
             &kernel,
         );
         drop(slots);
-        // The cumulative sink covers the whole service; the per-job
-        // result carries the job's own wait.
-        report.queue_wait_secs = 0.0;
 
         let items = batch
             .into_iter()
@@ -588,8 +584,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> ReductionService<T, O> {
     }
 
     /// The shared executor state: plan cache plus the cumulative
-    /// `jobs`/`batched_regions`/`queue_wait_secs` admission sinks (the
-    /// same numbers every [`JobResult::report`] carries).
+    /// `jobs`/`batched_regions` admission sinks.
     pub fn shared(&self) -> &Arc<ExecutorShared> {
         &self.shared
     }
@@ -742,9 +737,6 @@ mod tests {
                 expected(96, 500, 100 + j as u64, &vec![0; 96]),
                 "job {j} corrupted"
             );
-            // The report samples the cumulative sink at region time, so
-            // early regions see only the jobs admitted so far.
-            assert!(r.report.jobs >= r.batch_size as u64 && r.report.jobs <= 8);
         }
         assert_eq!(svc.shared().jobs(), 8);
         // Batching is timing-dependent (the burst may drain one by one
@@ -787,6 +779,19 @@ mod tests {
         assert_eq!(a.batch_size, 1);
         assert_eq!(b.batch_size, 1);
         assert_eq!(c.batch_size, 1);
+        assert_eq!(svc.shared().plans().planned_regions(), 0);
+        // Each class keeps its own cached plan: two more rounds of both
+        // classes replay them, 4 clean replays.
+        for _ in 0..2 {
+            for (class, salt) in [(1, 1), (2, 2)] {
+                let r = svc.submit(Job {
+                    class,
+                    ..job(64, 0, salt)
+                });
+                assert_eq!(r.wait().out, expected(64, 500, salt, &vec![0; 64]));
+            }
+        }
+        assert_eq!(svc.shared().plans().planned_regions(), 4);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod tmv;
 pub use coo::Coo;
 pub use csc::{csc_matvec_with_strategy, Csc, CscMvKernel};
 pub use csr::Csr;
-pub use tmv::{par_matvec, tmv_via_service, tmv_with_strategy, PlannedTmv, TmvKernel};
+pub use tmv::{par_matvec, tmv_with_strategy, PlannedTmv, TmvKernel};
 
 /// Minimal numeric bound for matrix elements: spray-reducible (including
 /// summation, via [`spray::SumOps`]) plus `*`/`+`.

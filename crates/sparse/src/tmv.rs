@@ -2,10 +2,7 @@
 
 use crate::{Csr, Num};
 use ompsim::{Schedule, ThreadPool};
-use spray::{
-    reduce_strategy, ExecutorPolicy, Kernel, PlanBudget, ReducerView, RegionExecutor, RunReport,
-    Strategy,
-};
+use spray::{reduce_strategy, Kernel, ReducerView, RegionExecutor, RunReport, Strategy};
 
 /// The Fig. 10 loop body as a [`spray::Kernel`] over rows:
 /// `for k in row(i): y[cols[k]] += vals[k] * x[i]`.
@@ -57,8 +54,8 @@ pub fn tmv_with_strategy<T: Num>(
 /// scatter footprint, every later product with the *same matrix* replays
 /// it (exclusive blocks write `y` directly, only genuinely shared blocks
 /// privatize, the merge visits only dirty copies). Unlike MKL's untimed
-/// inspection, the plan-build time is reported in the returned
-/// [`RunReport::plan_build_secs`], so amortization claims stay fair.
+/// inspection, the plan-build time is reported by
+/// [`PlannedTmv::plan_build_secs`], so amortization claims stay fair.
 ///
 /// Swapping in a matrix with a different sparsity pattern is correct (the
 /// deviating product falls back and rebuilds the plan) but wastes the
@@ -70,29 +67,9 @@ pub struct PlannedTmv<T: Num> {
 impl<T: Num> PlannedTmv<T> {
     /// A planned-TMV context for `strategy`, with nothing recorded yet.
     pub fn new(strategy: Strategy) -> Self {
-        Self::with_policy(strategy, ExecutorPolicy::Fixed)
-    }
-
-    /// A planned-TMV context with an explicit [`ExecutorPolicy`]: under
-    /// [`ExecutorPolicy::Adaptive`] repeated products may migrate
-    /// strategies (re-recording the plan lazily after each migration).
-    pub fn with_policy(strategy: Strategy, policy: ExecutorPolicy) -> Self {
         PlannedTmv {
-            executor: RegionExecutor::with_policy(strategy, policy),
+            executor: RegionExecutor::new(strategy),
         }
-    }
-
-    /// Caps the privatized scratch of every later product at `budget`
-    /// (see [`PlanBudget`]): the recorded column-scatter plan demotes its
-    /// costliest shared blocks to batched striped-lock updates until the
-    /// projection fits. MKL's inspector has no such knob — its optimize
-    /// step buys speed with unbounded workspace; here the time-memory
-    /// trade is explicit, and each product's
-    /// [`RunReport::scratch_bytes`] shows what the cap bought. Takes
-    /// effect on the next recording; pair with a fresh `PlannedTmv` (or a
-    /// deviating matrix) to re-record under a tighter cap.
-    pub fn set_budget(&mut self, budget: PlanBudget) {
-        self.executor.set_budget(budget);
     }
 
     /// Computes `y += Aᵀ·x`, replaying (or first recording) the plan.
@@ -116,56 +93,6 @@ impl<T: Num> PlannedTmv<T> {
     pub fn planned_regions(&self) -> u64 {
         self.executor.planned_regions()
     }
-
-    /// Strategy migrations performed so far (0 under a fixed policy).
-    pub fn migrations(&self) -> u64 {
-        self.executor.migrations()
-    }
-}
-
-/// Computes `y += Aᵀ·x` by submitting the product as a job to a shared
-/// [`spray_service::ReductionService`] — the service analog of
-/// [`PlannedTmv`]: the first product with a given `class` records a
-/// region plan in the service's shared cache and every later product of
-/// the same class (from this caller *or any other thread* using the
-/// same service) replays it; same-shape products queued concurrently
-/// may batch into a single region.
-///
-/// `class` identifies the matrix's sparsity pattern — use one value per
-/// matrix, exactly like "one [`PlannedTmv`] per matrix" (a collision is
-/// correct but re-records the plan). The job is also queued under
-/// `class` as its fair-share tenant.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn tmv_via_service<T: Num>(
-    svc: &spray_service::ReductionService<T, spray::Sum>,
-    class: u64,
-    a: &Csr<T>,
-    x: &[T],
-    y: &mut Vec<T>,
-) -> RunReport {
-    assert_eq!(x.len(), a.nrows(), "x must have nrows elements");
-    assert_eq!(y.len(), a.ncols(), "y must have ncols elements");
-    let job = spray_service::Job {
-        tenant: class,
-        class,
-        out: std::mem::take(y),
-        iters: a.nrows(),
-        body: Box::new(move |view, row| {
-            let xi = x[row];
-            let (cols, vals) = a.row(row);
-            for (&c, &v) in cols.iter().zip(vals) {
-                view.apply(c as usize, v * xi);
-            }
-        }),
-    };
-    let result = svc
-        .run_scoped(vec![job])
-        .pop()
-        .expect("one job in, one out");
-    *y = result.out;
-    result.report
 }
 
 /// Disjoint-write shared output used by the row-parallel gather.
@@ -255,102 +182,6 @@ mod tests {
         }
         assert_eq!(tmv.planned_regions(), 2);
         assert!(tmv.plan_build_secs() >= 0.0);
-    }
-
-    #[test]
-    fn adaptive_planned_tmv_matches_seq() {
-        let a = gen::random(400, 256, 4000, 9);
-        let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.02).cos()).collect();
-        let mut expected = vec![0.0f64; 256];
-        a.tmatvec_seq(&x, &mut expected);
-
-        let pool = ThreadPool::new(4);
-        let mut tmv = PlannedTmv::with_policy(
-            Strategy::BlockCas { block_size: 32 },
-            ExecutorPolicy::Adaptive(spray::AdaptiveConfig::default()),
-        );
-        for rep in 0..4 {
-            let mut y = vec![0.0f64; 256];
-            tmv.run(&pool, &a, &x, &mut y);
-            for (i, (&got, &want)) in y.iter().zip(&expected).enumerate() {
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "rep {rep} differs at {i}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_planned_tmv_match_seq() {
-        let a = gen::random(400, 256, 4000, 9);
-        let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.02).cos()).collect();
-        let mut expected = vec![0.0f64; 256];
-        a.tmatvec_seq(&x, &mut expected);
-
-        let pool = ThreadPool::new(4);
-        // Budget ladder on the block plan (zero demotes every shared
-        // block): all must match the sequential product on replays too.
-        let configs = [
-            (Strategy::BlockCas { block_size: 32 }, PlanBudget::new(0)),
-            (Strategy::BlockCas { block_size: 32 }, PlanBudget::new(2048)),
-        ];
-        for (strategy, budget) in configs {
-            let mut tmv = PlannedTmv::new(strategy);
-            tmv.set_budget(budget);
-            for rep in 0..3 {
-                let mut y = vec![0.0f64; 256];
-                let report = tmv.run(&pool, &a, &x, &mut y);
-                for (i, (&got, &want)) in y.iter().zip(&expected).enumerate() {
-                    assert!(
-                        (got - want).abs() < 1e-9,
-                        "{} budget {budget:?} rep {rep} differs at {i}: {got} vs {want}",
-                        strategy.label()
-                    );
-                }
-                if !budget.is_unlimited() {
-                    assert_eq!(report.budget_bytes, budget.max_scratch_bytes);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tmv_via_service_matches_seq_and_replays() {
-        let a = gen::random(400, 256, 4000, 9);
-        let b = gen::random(300, 256, 2500, 11);
-        let x_a: Vec<f64> = (0..400).map(|i| (i as f64 * 0.02).cos()).collect();
-        let x_b: Vec<f64> = (0..300).map(|i| (i as f64 * 0.05).sin()).collect();
-        let mut want_a = vec![0.0f64; 256];
-        let mut want_b = vec![0.0f64; 256];
-        a.tmatvec_seq(&x_a, &mut want_a);
-        b.tmatvec_seq(&x_b, &mut want_b);
-
-        // Two matrices multiplex one service under distinct classes.
-        let svc =
-            spray_service::ReductionService::<f64, spray::Sum>::new(spray_service::ServiceConfig {
-                threads: 4,
-                strategy: Strategy::BlockCas { block_size: 32 },
-                ..spray_service::ServiceConfig::default()
-            });
-        let mut last = None;
-        for rep in 0..3 {
-            for (class, m, x, want) in [(1u64, &a, &x_a, &want_a), (2, &b, &x_b, &want_b)] {
-                let mut y = vec![0.0f64; 256];
-                let report = tmv_via_service(&svc, class, m, x, &mut y);
-                for (i, (&got, &want)) in y.iter().zip(want).enumerate() {
-                    assert!(
-                        (got - want).abs() < 1e-9,
-                        "class {class} rep {rep} differs at {i}: {got} vs {want}"
-                    );
-                }
-                last = Some(report);
-            }
-        }
-        // Both classes replay their own plan after the first product:
-        // 4 of the 6 products are clean replays.
-        assert_eq!(last.unwrap().planned_regions, 4);
-        assert_eq!(svc.shared().jobs(), 6);
     }
 
     #[test]

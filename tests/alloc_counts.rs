@@ -73,9 +73,40 @@ fn arena_allocates_slabs_not_per_block() {
     assert!(out.iter().all(|&x| x == 1.0));
 }
 
+/// Allocation ceiling of one warm planned-replay region, whatever the
+/// array length and team width.
+const WARM_REPLAY_ALLOCS: usize = 8;
+
+/// Runs `regions` PageRank pushes through `reducer`, each recording or
+/// replaying region plan 0, and returns the allocations they made.
+fn planned_pushes(
+    pool: &ThreadPool,
+    reducer: &mut ReusableReducer<f64, Sum>,
+    offsets: &[usize],
+    targets: &[usize],
+    ranks: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+    regions: usize,
+) -> usize {
+    let n = ranks.len();
+    let before = memtrack::total_allocations();
+    for _ in 0..regions {
+        next.iter_mut().for_each(|x| *x = 0.0);
+        let kernel = PushKernel {
+            offsets,
+            targets,
+            ranks,
+        };
+        reducer.run_planned(0, pool, next, 0..n, Schedule::default(), &kernel);
+        std::mem::swap(ranks, next);
+    }
+    memtrack::total_allocations() - before
+}
+
 /// Region reuse must actually stop allocating: a PageRank-style loop that
 /// drives a [`ReusableReducer`] region after region may not allocate new
-/// privatization scratch once warm.
+/// privatization scratch once warm, and a warm planned replay stays under
+/// a fixed per-region allocation ceiling.
 #[test]
 fn warm_pagerank_regions_do_not_allocate_scratch() {
     let _guard = counting();
@@ -157,6 +188,60 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
              fresh-reducer path ({fresh} allocs)",
             strategy.label(),
         );
+    }
+
+    // Planned-replay leg: once a plan is recorded and replayed, each
+    // further replay allocates only a fixed handful of times for its
+    // per-region bookkeeping, the same at every array length and team
+    // width.
+    for n in [1 << 10, 1 << 14] {
+        let (offsets, targets) = build_graph(n);
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for strategy in [
+                Strategy::BlockPrivate { block_size: block },
+                Strategy::BlockLock { block_size: block },
+                Strategy::BlockCas { block_size: block },
+            ] {
+                let mut ranks = vec![1.0 / n as f64; n];
+                let mut next = vec![0.0f64; n];
+                let mut reducer = ReusableReducer::<f64, Sum>::new(strategy);
+                // Warm-up: a recording region and the first replay, which
+                // lays out the replayed private copies.
+                planned_pushes(
+                    &pool,
+                    &mut reducer,
+                    &offsets,
+                    &targets,
+                    &mut ranks,
+                    &mut next,
+                    2,
+                );
+                let regions = 5;
+                let replays = reducer.planned_regions();
+                let warm = planned_pushes(
+                    &pool,
+                    &mut reducer,
+                    &offsets,
+                    &targets,
+                    &mut ranks,
+                    &mut next,
+                    regions,
+                );
+                assert_eq!(
+                    reducer.planned_regions() - replays,
+                    regions as u64,
+                    "{} n={n} threads={threads}: a warm region did not replay",
+                    strategy.label()
+                );
+                assert!(
+                    warm <= regions * WARM_REPLAY_ALLOCS,
+                    "{} n={n} threads={threads}: {warm} allocations over {regions} warm \
+                     replays (ceiling {WARM_REPLAY_ALLOCS} per region)",
+                    strategy.label()
+                );
+            }
+        }
     }
 }
 

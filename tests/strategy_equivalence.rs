@@ -379,7 +379,7 @@ proptest! {
             prop_assert_eq!(
                 &out, &expected,
                 "strategy {} region {} after {} migrations",
-                report.strategy, region, report.migrations
+                report.strategy, region, ex.migrations()
             );
         }
     }
@@ -389,7 +389,9 @@ proptest! {
     /// block demoted to in-place updates) must stay bit-exact with the
     /// sequential loop on the recording region, on clean replays of the
     /// budgeted plan, and on a deviating region that re-records under the
-    /// budget. Every planned region's scratch stays within the budget.
+    /// budget. Every planned region's scratch stays within the budget,
+    /// each report carries the budget (0 = unlimited), and the repeats of
+    /// the recorded stream replay the budgeted plan cleanly.
     #[test]
     fn budgeted_block_cas_plans_are_bit_exact(
         len in 1usize..200,
@@ -433,6 +435,7 @@ proptest! {
             if region == 3 {
                 updates = stream();
             }
+            let replays_before = ex.planned_regions();
             let mut expected = vec![0i64; len];
             sequential_apply::<i64, Sum>(&mut expected, &updates);
 
@@ -444,11 +447,22 @@ proptest! {
                 &out, &expected,
                 "block-CAS-{} budget {:?} region {}", block, budget, region
             );
-            if !budget.is_unlimited() {
+            if budget.is_unlimited() {
+                prop_assert_eq!(report.budget_bytes, 0, "unlimited encodes as 0");
+            } else {
+                prop_assert_eq!(report.budget_bytes, budget.max_scratch_bytes);
                 prop_assert!(
                     report.scratch_bytes <= budget.max_scratch_bytes,
                     "block-CAS-{} region {}: scratch {} over budget {:?}",
                     block, region, report.scratch_bytes, budget
+                );
+            }
+            // The budgeted plan keeps replaying: each repeat of the
+            // recorded stream is one more clean replay.
+            if region == 1 || region == 2 {
+                prop_assert_eq!(
+                    ex.planned_regions(), replays_before + 1,
+                    "block-CAS-{} budget {:?} region {}: replay deviated", block, budget, region
                 );
             }
         }
