@@ -391,8 +391,8 @@ const MAX_POOLED_BYTES: usize = 64 << 20;
 /// instructions of `acquire`/`release`. Arena growth happens inside
 /// parallel regions (under the pool's region lock) and scratch teardown
 /// happens outside them, but neither path takes any other lock while
-/// holding this one — in particular never the plan-cache mutex
-/// ([`crate::PlanCache`]) and never [`ompsim::ThreadPool::parallel`].
+/// holding this one — in particular never [`ompsim::ThreadPool::parallel`].
+/// The whole order is pool region lock → this mutex.
 /// The `slab_pool_is_safe_under_concurrent_sessions` test races
 /// allocate/write/verify/drop cycles from several OS threads to pin the
 /// exclusivity claim down.

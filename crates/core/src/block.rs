@@ -1744,7 +1744,7 @@ mod tests {
             assert_eq!(ex.planned_regions(), 1, "{}", strategy.label());
             planned_apply_all(&mut ex, &pool, &mut out, &[10, 90, 250]);
             assert_eq!(ex.planned_regions(), 1, "{} deviated", strategy.label());
-            let plan = ex.shared().plans().lookup(0).0.expect("plan recorded");
+            let plan = ex.plan(0).expect("plan recorded");
             for t in 0..2 {
                 let tb = plan.thread_blocks(t).unwrap();
                 assert_eq!(tb.shared, vec![0, 1, 3], "{}", strategy.label());

@@ -30,90 +30,16 @@ use crate::dense::DenseReduction;
 use crate::elem::{AtomicElement, ReduceOp};
 use crate::keeper::KeeperReduction;
 use crate::map::{BTreeMapReduction, HashMapReduction};
-use crate::plan::{PlanBudget, PlanCache};
+use crate::plan::{PlanBudget, RegionPlan};
 use crate::reducer::{reduce_chunked_phased, ReducerView, Reduction};
 use crate::strategy::{Kernel, Strategy};
 use crate::telemetry::{PhaseBoard, PhaseTimes, RunReport, Telemetry};
 use ompsim::{Schedule, ThreadPool};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// State an executor may share with concurrent sessions: the region-plan
-/// cache and the service-level telemetry sinks.
-///
-/// [`RegionExecutor`] splits into two layers:
-///
-/// * **session state** — the executor value itself: retained scratch,
-///   adaptive policy/streak, migration counters, per-strategy region
-///   tallies. Each job/session owns one; it is `&mut self` and never
-///   shared.
-/// * **shared state** — this type, behind an [`Arc`]: the [`PlanCache`]
-///   (one recording serves every session replaying the same region id)
-///   and the job/batch sinks the reduction service folds its admission
-///   telemetry into.
-///
-/// [`RegionExecutor::new`]/[`with_policy`](RegionExecutor::with_policy)
-/// wrap a private `ExecutorShared`, preserving the old single-owner
-/// behavior exactly; [`RegionExecutor::with_shared`] attaches a session
-/// to an existing one. Scratch is *never* shared — each session retains
-/// its own, so concurrent sessions on one [`ompsim::ThreadPool`] (whose
-/// region lock serializes the parallel phases) cannot alias block
-/// copies. The process-wide [`crate::arena`] slab pool recycles slabs
-/// *between* sessions' regions, which is safe for the same reason: a
-/// slab is only pooled after `into_scratch`/drop detaches it.
-///
-/// # Lock order
-///
-/// All interior mutability here is leaf-level: the [`PlanCache`] mutex
-/// (see its docs) and relaxed atomics for the sinks. Nothing in this
-/// type calls into the pool or the arena while holding a lock.
-#[derive(Debug, Default)]
-pub struct ExecutorShared {
-    plans: PlanCache,
-    /// Jobs admitted through a reduction service using this shared state.
-    jobs: AtomicU64,
-    /// Service regions that coalesced two or more same-shape jobs.
-    batched_regions: AtomicU64,
-}
-
-impl ExecutorShared {
-    /// Fresh shared state: empty plan cache, zeroed sinks.
-    pub fn new() -> Self {
-        ExecutorShared::default()
-    }
-
-    /// The shared region-plan cache.
-    pub fn plans(&self) -> &PlanCache {
-        &self.plans
-    }
-
-    /// Records one admitted job (service sink); a job's queue wait
-    /// travels on its own result.
-    pub fn note_job(&self) {
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one region that batched `jobs` same-shape jobs (counted
-    /// as batched only when two or more coalesced).
-    pub fn note_region(&self, jobs: u64) {
-        if jobs >= 2 {
-            self.batched_regions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Jobs admitted so far.
-    pub fn jobs(&self) -> u64 {
-        self.jobs.load(Ordering::Relaxed)
-    }
-
-    /// Regions that coalesced two or more jobs.
-    pub fn batched_regions(&self) -> u64 {
-        self.batched_regions.load(Ordering::Relaxed)
-    }
-}
 
 /// Block-reducer scratch carried between regions, keyed by flavor.
 enum RetainedScratch<T> {
@@ -144,13 +70,25 @@ enum RetainedScratch<T> {
 /// the stale scratch is discarded and that region starts fresh — always
 /// correct, just re-allocating. [`clear`](RegionExecutor::clear) drops the
 /// scratch explicitly (e.g. before a long idle phase).
+///
+/// An executor is one session and shares nothing with other executors:
+/// its scratch, its region plans and its policy state are plain fields
+/// behind `&mut self`. Several executors may run regions on one
+/// [`ompsim::ThreadPool`] from different threads; the pool's region lock
+/// serializes their parallel phases, and the process-wide
+/// [`crate::arena`] slab pool hands slabs between them only after
+/// `into_scratch` or a drop has detached them, so no two sessions can
+/// alias a block copy.
 pub struct RegionExecutor<T: crate::Element, O: ReduceOp<T>> {
     strategy: Strategy,
     scratch: RetainedScratch<T>,
-    /// Plan cache + service sinks, possibly shared with concurrent
-    /// sessions; see [`ExecutorShared`] and
-    /// [`RegionExecutor::run_planned`].
-    shared: Arc<ExecutorShared>,
+    /// This executor's region plans, keyed by the caller's region id;
+    /// see [`RegionExecutor::run_planned`].
+    plans: BTreeMap<u64, Arc<RegionPlan>>,
+    /// Clean replays of `plans` since they were last cleared.
+    planned_regions: u64,
+    /// Seconds spent building `plans` since they were last cleared.
+    plan_build_secs: f64,
     /// Adaptive bookkeeping when the policy is
     /// [`ExecutorPolicy::Adaptive`]; `None` for fixed executors.
     adaptive: Option<AdaptiveState>,
@@ -170,8 +108,6 @@ pub struct RegionExecutor<T: crate::Element, O: ReduceOp<T>> {
     /// mirror. Lazily created on the first delta region and independent
     /// of the strategy — migrations leave it intact.
     delta: Option<DeltaState<T>>,
-    /// Block granularity (log2) the next fresh delta state will use.
-    delta_block_bits: u32,
     /// Delta regions run so far (cumulative).
     delta_regions: u64,
     /// Dirty blocks staged across delta regions (cumulative).
@@ -210,30 +146,12 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// out-of-band regions, migrates via
     /// [`migrate_to`](RegionExecutor::migrate_to).
     pub fn with_policy(strategy: Strategy, policy: ExecutorPolicy) -> Self {
-        Self::with_shared(strategy, policy, Arc::new(ExecutorShared::new()))
-    }
-
-    /// A session attached to existing shared state: the plan cache (and
-    /// service sinks) in `shared` are used instead of a private one, so
-    /// concurrent sessions replay each other's recordings. Session state
-    /// (scratch, adaptive policy, migration counters) stays private.
-    ///
-    /// Sessions sharing one cache should either use disjoint region ids
-    /// or run the same strategy over the same shape per id — a plan
-    /// recorded at a mismatched shape is rejected on install (the session
-    /// re-records), which is always correct but forfeits the sharing.
-    /// Note that [`clear_plans`](RegionExecutor::clear_plans) and the
-    /// migration protocol clear the *shared* cache, starting a new epoch
-    /// for every attached session.
-    pub fn with_shared(
-        strategy: Strategy,
-        policy: ExecutorPolicy,
-        shared: Arc<ExecutorShared>,
-    ) -> Self {
         RegionExecutor {
             strategy,
             scratch: RetainedScratch::None,
-            shared,
+            plans: BTreeMap::new(),
+            planned_regions: 0,
+            plan_build_secs: 0.0,
             adaptive: match policy {
                 ExecutorPolicy::Fixed => None,
                 ExecutorPolicy::Adaptive(cfg) => Some(AdaptiveState::new(cfg)),
@@ -243,7 +161,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             strategy_regions: Vec::new(),
             budget: PlanBudget::UNLIMITED,
             delta: None,
-            delta_block_bits: DELTA_BLOCK_BITS,
             delta_regions: 0,
             dirty_blocks: 0,
             retractions: 0,
@@ -265,11 +182,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// The scratch budget applied to regions (unlimited by default).
     pub fn budget(&self) -> PlanBudget {
         self.budget
-    }
-
-    /// The shared state this session is attached to.
-    pub fn shared(&self) -> &Arc<ExecutorShared> {
-        &self.shared
     }
 
     /// The strategy this executor dispatches to.
@@ -300,36 +212,26 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         &self.strategy_regions
     }
 
-    /// Switches strategy for subsequent regions. Retained scratch is kept:
-    /// the dispatch only re-attaches it when the new strategy is the same
-    /// block flavor with a matching shape, and discards it otherwise.
-    pub fn set_strategy(&mut self, strategy: Strategy) {
-        self.strategy = strategy;
-    }
-
     /// Drops any retained scratch (e.g. before a long idle phase).
     pub fn clear(&mut self) {
         self.scratch = RetainedScratch::None;
     }
 
-    /// Drops every cached region plan (e.g. when the caller knows the
-    /// sparsity pattern changed wholesale and stale plans would only pay
-    /// one wasted recording region each to heal).
+    /// Drops every region plan this executor holds (e.g. when the caller
+    /// knows the sparsity pattern changed wholesale and stale plans would
+    /// only pay one wasted recording region each to heal).
     ///
     /// The plan statistics ([`planned_regions`](RegionExecutor::planned_regions),
     /// [`plan_build_secs`](RegionExecutor::plan_build_secs)) are reset
-    /// with the plans: they describe the cache being discarded, and
+    /// with the plans: they describe the plans being discarded, and
     /// carrying them across the clear would blend two planning epochs in
     /// every later [`RunReport`] (a post-migration report would claim
-    /// replays and build time the new strategy never performed).
-    ///
-    /// With [`with_shared`](RegionExecutor::with_shared) sessions this
-    /// clears the **shared** [`PlanCache`] and bumps its epoch: sessions
-    /// mid-region at the clear finish on the `Arc` they already hold
-    /// (exact either way) and their post-region recording/replay credit
-    /// is epoch-rejected — see [`PlanCache`] for the full contract.
+    /// replays and build time the new strategy never performed). Other
+    /// executors' plans are untouched.
     pub fn clear_plans(&mut self) {
-        self.shared.plans.clear();
+        self.plans.clear();
+        self.planned_regions = 0;
+        self.plan_build_secs = 0.0;
     }
 
     /// Switches to `strategy` using the migration protocol, updating the
@@ -344,10 +246,11 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     ///    executor detaches scratch, so at a region boundary the scratch
     ///    holds no pending updates; dropping it completes the old
     ///    strategy's epoch.
-    /// 2. **Invalidate** — cached [`RegionPlan`](crate::RegionPlan)s describe the old
-    ///    strategy's execution shape; [`clear_plans`](RegionExecutor::clear_plans)
-    ///    drops them (and their stats epoch) so the new strategy
-    ///    re-records lazily on its first planned region.
+    /// 2. **Invalidate** — this executor's [`RegionPlan`]s describe the
+    ///    old strategy's execution shape;
+    ///    [`clear_plans`](RegionExecutor::clear_plans) drops them (and
+    ///    their stats epoch) so the new strategy re-records lazily on its
+    ///    first planned region.
     /// 3. **Switch** — the strategy value is replaced; the next region
     ///    dispatches to the new reduction.
     ///
@@ -370,15 +273,22 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         self.migrations += 1;
     }
 
-    /// Regions (cumulative, cache-wide) that replayed a cached plan
-    /// without deviating — shared-cache sessions see each other's replays.
+    /// Regions (cumulative over this executor's plans since they were
+    /// last cleared) that replayed a plan without deviating.
     pub fn planned_regions(&self) -> u64 {
-        self.shared.plans.planned_regions()
+        self.planned_regions
     }
 
-    /// Cumulative seconds spent building region plans (cache-wide).
+    /// Cumulative seconds spent building this executor's region plans
+    /// since they were last cleared.
     pub fn plan_build_secs(&self) -> f64 {
-        self.shared.plans.plan_build_secs()
+        self.plan_build_secs
+    }
+
+    /// The plan recorded for `region`, if any.
+    #[cfg(test)]
+    pub(crate) fn plan(&self, region: u64) -> Option<&RegionPlan> {
+        self.plans.get(&region).map(Arc::as_ref)
     }
 
     /// Runs one region: executes `kernel` over `range` on `pool`, reducing
@@ -470,10 +380,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                     $Scratch(s) => $Red::<T, O>::from_scratch(out, n, $bs, s),
                     _ => $Red::<T, O>::new(out, n, $bs),
                 };
-                let (cached, epoch) = match region {
-                    Some(id) => self.shared.plans.lookup(id),
-                    None => (None, 0),
-                };
+                let cached = region.and_then(|id| self.plans.get(&id).cloned());
                 if let Some(plan) = &cached {
                     plan_scratch = Some(plan.scratch_bytes(std::mem::size_of::<T>()));
                 }
@@ -484,7 +391,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                 let report = execute(pool, &red, range, schedule, kernel);
                 if let Some(id) = region {
                     if installed && !red.plan_deviated() {
-                        self.shared.plans.note_replay(epoch);
+                        self.planned_regions += 1;
                     } else {
                         replay_deviated = installed;
                         let t0 = Instant::now();
@@ -494,14 +401,9 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                         let plan = red
                             .extract_plan()
                             .with_budget(std::mem::size_of::<T>(), self.budget);
-                        let build_secs = t0.elapsed().as_secs_f64();
+                        self.plan_build_secs += t0.elapsed().as_secs_f64();
                         plan_scratch = Some(plan.scratch_bytes(std::mem::size_of::<T>()));
-                        // Epoch-checked: a concurrent clear_plans since
-                        // the lookup drops this recording instead of
-                        // resurrecting a pre-clear footprint.
-                        self.shared
-                            .plans
-                            .record(id, Arc::new(plan), build_secs, epoch);
+                        self.plans.insert(id, Arc::new(plan));
                     }
                 }
                 self.scratch = $Scratch(red.into_scratch());
@@ -524,27 +426,20 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             }
             Strategy::Keeper => {
                 let mut red = KeeperReduction::<T, O>::new(out, n);
-                let (cached, epoch) = match region {
-                    Some(id) => self.shared.plans.lookup(id),
-                    None => (None, 0),
-                };
-                let installed = match cached {
-                    Some(plan) => red.install_plan(&plan),
-                    None => false,
-                };
+                let installed = region
+                    .and_then(|id| self.plans.get(&id))
+                    .is_some_and(|plan| red.install_plan(plan));
                 let report = execute(pool, &red, range, schedule, kernel);
                 if let Some(id) = region {
                     // A keeper plan is advisory (queue pre-sizing), so a
                     // replayed region is planned even when traffic shifts.
                     if installed {
-                        self.shared.plans.note_replay(epoch);
+                        self.planned_regions += 1;
                     } else {
                         let t0 = Instant::now();
                         let plan = red.extract_plan();
-                        let build_secs = t0.elapsed().as_secs_f64();
-                        self.shared
-                            .plans
-                            .record(id, Arc::new(plan), build_secs, epoch);
+                        self.plan_build_secs += t0.elapsed().as_secs_f64();
+                        self.plans.insert(id, Arc::new(plan));
                     }
                 }
                 report
@@ -558,7 +453,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             self.budget.max_scratch_bytes
         };
         self.adaptive_step(&report, out.len(), replay_deviated);
-        report.planned_regions = self.shared.plans.planned_regions();
+        report.planned_regions = self.planned_regions;
         report
     }
 
@@ -601,8 +496,9 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         batch: &DeltaBatch<T>,
     ) -> RunReport {
         let t0 = Instant::now();
-        let bits = self.delta_block_bits;
-        let state = self.delta.get_or_insert_with(|| DeltaState::new(out, bits));
+        let state = self
+            .delta
+            .get_or_insert_with(|| DeltaState::new(out, DELTA_BLOCK_BITS));
         let stats = run_delta_engine::<T, O>(state, pool, out, batch);
         self.delta_regions += 1;
         self.dirty_blocks += stats.dirty_blocks;
@@ -641,7 +537,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             } else {
                 self.budget.max_scratch_bytes
             },
-            planned_regions: self.shared.plans.planned_regions(),
+            planned_regions: self.planned_regions,
             counters,
             phases,
             merge_bandwidth,
@@ -670,13 +566,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
     /// already done.
     pub fn reset_delta(&mut self) {
         self.delta = None;
-    }
-
-    /// Sets the delta block granularity (log2 elements per dirty-tracking
-    /// block) used when the delta state is (re)created; existing state is
-    /// unaffected. Defaults to [`crate::DELTA_BLOCK_BITS`].
-    pub fn set_delta_block_bits(&mut self, bits: u32) {
-        self.delta_block_bits = bits;
     }
 
     /// The adaptive policy's post-region decision: score this region's
@@ -845,15 +734,15 @@ mod tests {
             );
             assert_eq!(out, expected(&small, 73), "width change {strategy:?}");
 
-            // (c) block-size change (same flavor, new hyperparameter).
+            // (c) block-size change (same flavor, new hyperparameter),
+            // through the migration protocol, which drains the scratch.
             let bigger = match strategy {
                 Strategy::BlockPrivate { .. } => Strategy::BlockPrivate { block_size: 64 },
                 Strategy::BlockLock { .. } => Strategy::BlockLock { block_size: 64 },
                 _ => Strategy::BlockCas { block_size: 64 },
             };
-            ex.set_strategy(bigger);
+            ex.migrate_to(bigger);
             let mut out = vec![0i64; 73];
-            ex.clear();
             ex.run(
                 &pool2,
                 &mut out,
@@ -1060,7 +949,7 @@ mod tests {
     #[test]
     fn explicit_migration_preserves_results_and_resets_plan_epoch() {
         // migrate_to works on fixed executors too: results stay exact
-        // across the switch, and the plan cache + its stats restart as a
+        // across the switch, and its plans + their stats restart as a
         // fresh epoch (recording once, then replaying).
         let pool = ompsim::ThreadPool::new(3);
         let data: Vec<usize> = (0..4_000).map(|i| (i * 131) % 200).collect();
@@ -1105,38 +994,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_sessions_share_plans_and_survive_clears() {
-        // Four OS threads, each with its own session, all attached to one
-        // ExecutorShared and one pool. They hammer the same two region
-        // ids (same strategy, same shape) while one thread periodically
-        // clears the shared cache — every region must stay exact, and the
-        // shared cache must have served replays across sessions.
+    fn concurrent_sessions_keep_private_plans_and_survive_clears() {
+        // Four OS threads, each with its own session, all on one pool.
+        // They replay the same two region ids (same strategy, same
+        // shape) while one thread periodically clears its plans: every
+        // region must stay exact, and a clear must reach only the plans
+        // of the session that made it.
         //
-        // Lock-order coverage: each region takes, in order, the plan-cache
-        // mutex (lookup, released), the pool's region lock (parallel),
-        // the arena slab-pool mutex (scratch acquire/release, inside the
-        // region), then the plan-cache mutex again (record/note_replay,
-        // released) — never nested, so no interleaving can deadlock.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let pool = std::sync::Arc::new(ompsim::ThreadPool::new(2));
-        let shared = std::sync::Arc::new(ExecutorShared::new());
-        let data: std::sync::Arc<Vec<usize>> =
-            std::sync::Arc::new((0..2_000).map(|i| (i * 131) % 100).collect());
+        // Lock-order coverage: each region takes the pool's region lock
+        // (parallel) and, inside it, the arena slab-pool mutex (scratch
+        // acquire/release); plans are session fields and take no lock.
+        let pool = Arc::new(ompsim::ThreadPool::new(2));
+        let data: Arc<Vec<usize>> = Arc::new((0..2_000).map(|i| (i * 131) % 100).collect());
         let want = expected(&data, 100);
-        let errors = std::sync::Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..4)
             .map(|s| {
-                let pool = std::sync::Arc::clone(&pool);
-                let shared = std::sync::Arc::clone(&shared);
-                let data = std::sync::Arc::clone(&data);
+                let pool = Arc::clone(&pool);
+                let data = Arc::clone(&data);
                 let want = want.clone();
-                let errors = std::sync::Arc::clone(&errors);
                 std::thread::spawn(move || {
-                    let mut ex = RegionExecutor::<i64, Sum>::with_shared(
-                        Strategy::BlockCas { block_size: 16 },
-                        ExecutorPolicy::Fixed,
-                        shared,
-                    );
+                    let mut ex =
+                        RegionExecutor::<i64, Sum>::new(Strategy::BlockCas { block_size: 16 });
+                    let mut errors = 0;
                     for round in 0..20u64 {
                         if s == 0 && round % 7 == 3 {
                             ex.clear_plans();
@@ -1151,51 +1030,23 @@ mod tests {
                             &Histogram { data: &data },
                         );
                         if out != want {
-                            errors.fetch_add(1, Ordering::Relaxed);
+                            errors += 1;
                         }
                     }
+                    (errors, ex.planned_regions())
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(errors.load(Ordering::Relaxed), 0);
-        assert!(shared.plans().len() <= 2);
-        // The service sinks are untouched by plain sessions.
-        assert_eq!(shared.jobs(), 0);
-        assert_eq!(shared.batched_regions(), 0);
-
-        // Cross-session sharing, deterministically: a brand-new session
-        // attached to the same shared state replays a plan it never
-        // recorded (the cache retains whatever epoch survived the races;
-        // one warm-up run re-records if a clear landed last).
-        let mut fresh = RegionExecutor::<i64, Sum>::with_shared(
-            Strategy::BlockCas { block_size: 16 },
-            ExecutorPolicy::Fixed,
-            std::sync::Arc::clone(&shared),
+        let outcomes: Vec<(u32, u64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(
+            outcomes.iter().all(|&(errors, _)| errors == 0),
+            "{outcomes:?}"
         );
-        let mut out = vec![0i64; 100];
-        fresh.run_planned(
-            0,
-            &pool,
-            &mut out,
-            0..data.len(),
-            Schedule::default(),
-            &Histogram { data: &data },
-        );
-        let before = shared.plans().planned_regions();
-        let mut out = vec![0i64; 100];
-        fresh.run_planned(
-            0,
-            &pool,
-            &mut out,
-            0..data.len(),
-            Schedule::default(),
-            &Histogram { data: &data },
-        );
-        assert_eq!(out, want);
-        assert_eq!(shared.plans().planned_regions(), before + 1);
+        // Sessions 1-3 recorded each id once and replayed the other 18
+        // regions. Session 0 last cleared before round 17: it recorded
+        // ids 1 and 0 in rounds 17 and 18 and replayed id 1 in round 19.
+        let planned: Vec<u64> = outcomes.iter().map(|&(_, p)| p).collect();
+        assert_eq!(planned, [1, 18, 18, 18]);
     }
 
     #[test]

@@ -101,11 +101,11 @@ pub use dense::{DenseReduction, DenseView};
 pub use elem::{
     AtomicElement, Element, Max, Min, OpKind, OrdOps, Prod, ProdOps, ReduceOp, Sum, SumOps,
 };
-pub use executor::{ExecutorShared, RegionExecutor, ReusableReducer};
+pub use executor::{RegionExecutor, ReusableReducer};
 pub use kahan::Kahan64;
 pub use keeper::{KeeperReduction, KeeperView};
 pub use map::{BTreeMapReduction, HashMapReduction, MapLike, MapOpView, MapReduction};
-pub use plan::{PlanBudget, PlanCache, RegionPlan, ThreadBlocks};
+pub use plan::{PlanBudget, RegionPlan, ThreadBlocks};
 pub use reducer::{
     reduce, reduce_chunked, reduce_seq, CountedView, ReducerView, Reduction, SeqView,
 };

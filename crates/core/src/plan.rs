@@ -386,146 +386,6 @@ impl RegionPlan {
     }
 }
 
-/// A thread-safe region-plan cache shared by concurrent executor
-/// sessions, keyed by caller-supplied region id.
-///
-/// Before the reduction service existed, the plan cache was a plain
-/// `BTreeMap` field of [`crate::RegionExecutor`] and the executor was the
-/// single owner. Splitting it out gives many sessions one cache (same
-/// workload shape → one recording, every session replays), and makes
-/// `clear`-vs-in-flight-recording races well-defined via an **epoch**:
-///
-/// * [`PlanCache::lookup`] returns the cached plan *and* the epoch it was
-///   read under;
-/// * [`PlanCache::record`] / [`PlanCache::note_replay`] take that epoch
-///   back and become no-ops if a [`PlanCache::clear`] intervened — a
-///   session that spent a region recording against a cache that was
-///   invalidated mid-region must not resurrect pre-clear footprints (or
-///   their build-time/replay stats) into the new epoch.
-///
-/// Stale replays are safe without any locking across the region: `lookup`
-/// hands out an [`Arc`](std::sync::Arc), so a concurrently cleared plan stays alive for
-/// the session already replaying it, and a replay of a plan that no
-/// longer matches the traffic self-heals through the deviation path.
-///
-/// # Lock order
-///
-/// The internal mutex is a **leaf lock**: it is held only for the short
-/// lookup/record/clear critical sections and never while calling into
-/// [`ompsim::ThreadPool::parallel`] (which takes the pool's region lock),
-/// nor while taking the [`crate::arena`] slab-pool lock (block scratch is
-/// acquired/released inside regions, strictly after any plan-cache access
-/// completes). Callers must keep it that way: never invoke pool or arena
-/// operations from code holding this lock. The
-/// `concurrent_sessions_share_plans_and_survive_clears` test in
-/// `executor.rs` exercises sessions racing lookups, recordings and clears
-/// against each other on one pool.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    state: std::sync::Mutex<PlanCacheState>,
-}
-
-#[derive(Debug, Default)]
-struct PlanCacheState {
-    plans: std::collections::BTreeMap<u64, std::sync::Arc<RegionPlan>>,
-    /// Bumped by every [`PlanCache::clear`]; recordings and replay stats
-    /// from a previous epoch are dropped on arrival.
-    epoch: u64,
-    planned_regions: u64,
-    plan_build_secs: f64,
-}
-
-impl PlanCache {
-    /// An empty cache at epoch 0.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// The cached plan for `id` (if any) and the epoch it was read under;
-    /// pass the epoch back to [`PlanCache::record`]/[`PlanCache::note_replay`].
-    pub fn lookup(&self, id: u64) -> (Option<std::sync::Arc<RegionPlan>>, u64) {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        (st.plans.get(&id).cloned(), st.epoch)
-    }
-
-    /// Caches `plan` under `id`, charging `build_secs` to the inspection
-    /// budget — unless the cache was cleared since `epoch` was read, in
-    /// which case the recording is dropped and `false` is returned.
-    pub fn record(
-        &self,
-        id: u64,
-        plan: std::sync::Arc<RegionPlan>,
-        build_secs: f64,
-        epoch: u64,
-    ) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.epoch != epoch {
-            return false;
-        }
-        st.plans.insert(id, plan);
-        st.plan_build_secs += build_secs;
-        true
-    }
-
-    /// Counts one clean (non-deviating) replay — unless the cache was
-    /// cleared since `epoch` was read.
-    pub fn note_replay(&self, epoch: u64) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.epoch != epoch {
-            return false;
-        }
-        st.planned_regions += 1;
-        true
-    }
-
-    /// Drops every cached plan and resets the replay/build-time stats,
-    /// starting a new epoch. In-flight sessions holding pre-clear `Arc`s
-    /// finish their region on the stale plan (exact either way); their
-    /// post-region `record`/`note_replay` calls are epoch-rejected.
-    pub fn clear(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.plans.clear();
-        st.epoch += 1;
-        st.planned_regions = 0;
-        st.plan_build_secs = 0.0;
-    }
-
-    /// Clean replays counted in the current epoch.
-    pub fn planned_regions(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .planned_regions
-    }
-
-    /// Seconds spent building plans in the current epoch.
-    pub fn plan_build_secs(&self) -> f64 {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .plan_build_secs
-    }
-
-    /// Plans currently cached.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .plans
-            .len()
-    }
-
-    /// Whether no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The current epoch (bumped once per [`PlanCache::clear`]).
-    pub fn epoch(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).epoch
-    }
-}
-
 /// Longest-processing-time greedy schedule of weighted items over
 /// `nworkers` workers: items in descending cost order, each to the
 /// currently least-loaded worker. Deterministic: ties break on lower item
@@ -608,40 +468,6 @@ mod tests {
         assert_eq!(kp.keeper_counts(), Some(&[0, 3, 4, 0][..]));
         assert!(!kp.is_empty());
         assert!(RegionPlan::for_keeper(100, 2, vec![0; 4]).is_empty());
-    }
-
-    #[test]
-    fn plan_cache_epoch_rejects_stale_recordings() {
-        use std::sync::Arc;
-        let cache = PlanCache::new();
-        let plan = Arc::new(RegionPlan::for_blocks(100, 2, 16, &[vec![0], vec![1]]));
-        let (hit, epoch) = cache.lookup(7);
-        assert!(hit.is_none());
-        assert_eq!(epoch, 0);
-
-        // A recording against the epoch it looked up under lands.
-        assert!(cache.record(7, Arc::clone(&plan), 0.25, epoch));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.plan_build_secs(), 0.25);
-        let (hit, epoch) = cache.lookup(7);
-        assert!(hit.is_some());
-        assert!(cache.note_replay(epoch));
-        assert_eq!(cache.planned_regions(), 1);
-
-        // A clear in the middle of a session's region invalidates the
-        // session's pending recording *and* its replay credit.
-        let (stale, old_epoch) = cache.lookup(7);
-        assert!(stale.is_some(), "session read the plan before the clear");
-        cache.clear();
-        assert_eq!(cache.epoch(), 1);
-        assert!(cache.is_empty());
-        assert!(!cache.record(7, plan, 0.5, old_epoch));
-        assert!(!cache.note_replay(old_epoch));
-        assert_eq!(cache.len(), 0, "stale recording must not resurrect");
-        assert_eq!(cache.planned_regions(), 0);
-        assert_eq!(cache.plan_build_secs(), 0.0);
-        // The Arc handed out before the clear is still usable.
-        assert!(stale.unwrap().matches_block(100, 2, 16));
     }
 
     #[test]

@@ -493,9 +493,9 @@ impl PhaseBoard {
 ///
 /// Every field describes this one region except `planned_regions`, the
 /// report's one cumulative field. Executor-lifetime totals (plan build
-/// time, migrations, per-strategy region tallies, delta totals, service
-/// admission counts) live behind the executor's getters and
-/// [`crate::ExecutorShared`], not in reports.
+/// time, migrations, per-strategy region tallies, delta totals) live
+/// behind the executor's getters, and a reduction service's admission
+/// counts behind the service's, not in reports.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Strategy label (paper naming).
@@ -511,11 +511,11 @@ pub struct RunReport {
     /// The scratch budget in force when the region ran
     /// ([`crate::PlanBudget::max_scratch_bytes`]); `0` means unlimited.
     pub budget_bytes: usize,
-    /// Regions that replayed a cached plan to completion without
-    /// deviating, counted over the executor's plan cache (so across
-    /// sessions sharing it) — the report's one **cumulative** field: a
-    /// caller tells whether this region replayed by subtracting the
-    /// previous report's value. Zero for executors that never planned.
+    /// Regions that replayed one of this executor's plans to completion
+    /// without deviating, since its plans were last cleared — the
+    /// report's one **cumulative** field: a caller tells whether this
+    /// region replayed by subtracting the previous report's value. Zero
+    /// for executors that never planned.
     pub planned_regions: u64,
     /// Per-thread event counters the strategy recorded.
     pub counters: Telemetry,

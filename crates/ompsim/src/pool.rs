@@ -218,8 +218,8 @@ unsafe impl Sync for Shared {}
 /// The region lock sits at the **top** of the workspace's lock order:
 /// callers must not hold any other lock a region body (or another
 /// region-submitting thread) could need while calling `parallel` —
-/// spray's plan-cache and arena slab-pool mutexes are leaf locks taken
-/// strictly outside or strictly inside a region, never across one.
+/// spray's arena slab-pool mutex is a leaf lock taken strictly outside
+/// or strictly inside a region, never across one.
 /// [`ThreadPool::regions_run`] counts completed regions, so a serving
 /// layer can report how many regions its job stream actually coalesced
 /// into.

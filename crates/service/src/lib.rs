@@ -6,9 +6,8 @@
 //! concurrent request handlers, pipeline stages) each need sparse
 //! reductions but the machine has exactly one set of cores. This crate
 //! adds the missing layer: a [`ReductionService`] that owns one
-//! [`ompsim::ThreadPool`] plus one shared executor state
-//! ([`spray::ExecutorShared`]: plan cache and admission telemetry) and
-//! accepts *jobs* from any thread.
+//! [`ompsim::ThreadPool`], one executor session per batch shape and its
+//! [`AdmissionCounters`], and accepts *jobs* from any thread.
 //!
 //! The service buys three things a per-caller executor cannot:
 //!
@@ -34,18 +33,19 @@
 //! `fuzz` module turns that claim into a seeded differential oracle
 //! (`schedule_fuzz --service`).
 //!
-//! See DESIGN.md §9 for the session-vs-shared state split and the
+//! See DESIGN.md §9 for what each session owns and the
 //! batching/pipelining rules in one place.
 
 #![warn(missing_docs)]
 
 use ompsim::{Schedule, ThreadPool};
 use spray::{
-    AtomicElement, Element, ExecutorPolicy, ExecutorShared, Kernel, ReduceOp, ReducerView,
-    RegionExecutor, RunReport, Strategy,
+    AtomicElement, Element, ExecutorPolicy, Kernel, ReduceOp, ReducerView, RegionExecutor,
+    RunReport, Strategy,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -85,6 +85,36 @@ impl Default for ServiceConfig {
             batch_window: 8,
             pipeline: true,
         }
+    }
+}
+
+/// The service's cumulative admission counters, read through
+/// [`ReductionService::shared`]; each job's queue wait travels on its
+/// own [`JobResult`].
+#[derive(Debug, Default)]
+pub struct AdmissionCounters {
+    jobs: AtomicU64,
+    batched_regions: AtomicU64,
+}
+
+impl AdmissionCounters {
+    /// Counts one region that ran `k` coalesced jobs (a batched region
+    /// only when `k >= 2`).
+    fn note_batch(&self, k: usize) {
+        self.jobs.fetch_add(k as u64, Ordering::Relaxed);
+        if k >= 2 {
+            self.batched_regions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Jobs admitted so far.
+    pub fn jobs(&self) -> u64 {
+        self.jobs.load(Ordering::Relaxed)
+    }
+
+    /// Regions that coalesced two or more jobs.
+    pub fn batched_regions(&self) -> u64 {
+        self.batched_regions.load(Ordering::Relaxed)
     }
 }
 
@@ -167,7 +197,8 @@ struct Epilogue<T> {
     concat: Vec<T>,
     /// Per-job output length (all batch members share it).
     n: usize,
-    /// Region telemetry, cloned into every member's result.
+    /// Region telemetry: a copy goes into every member's result but the
+    /// last, which takes this one.
     report: RunReport,
     items: Vec<EpilogueItem<T>>,
 }
@@ -185,25 +216,35 @@ struct EpilogueItem<T> {
 /// Scatters segments back to per-job outputs, delivers results, and
 /// returns the concat buffer to the dispatcher's free list.
 fn finish_epilogue<T: Element>(e: Epilogue<T>, recycle: &mpsc::Sender<Vec<T>>) {
-    let batch_size = e.items.len();
-    for (j, item) in e.items.into_iter().enumerate() {
+    let Epilogue {
+        concat: mut buf,
+        n,
+        report,
+        mut items,
+    } = e;
+    let batch_size = items.len();
+    let deliver = |j: usize, item: EpilogueItem<T>, report: RunReport| {
         let EpilogueItem {
             mut out,
             body,
             reply,
             queue_wait,
         } = item;
-        out.copy_from_slice(&e.concat[j * e.n..(j + 1) * e.n]);
+        out.copy_from_slice(&buf[j * n..(j + 1) * n]);
         drop(body);
         // A submitter that dropped its ticket simply forfeits the result.
         let _ = reply.send(JobResult {
             out,
-            report: e.report.clone(),
+            report,
             queue_wait,
             batch_size,
         });
+    };
+    let last = items.pop().expect("a batch holds at least one job");
+    for (j, item) in items.into_iter().enumerate() {
+        deliver(j, item, report.clone());
     }
-    let mut buf = e.concat;
+    deliver(batch_size - 1, last, report);
     buf.clear();
     let _ = recycle.send(buf);
 }
@@ -352,11 +393,11 @@ impl<T> Admission<T> {
 struct Dispatcher<T: AtomicElement, O: ReduceOp<T>> {
     cfg: ServiceConfig,
     pool: ThreadPool,
-    shared: Arc<ExecutorShared>,
+    counters: Arc<AdmissionCounters>,
     /// Executor sessions keyed by concat length: scratch retention only
-    /// pays off when the array shape repeats, and a per-shape session
-    /// keeps block scratch warm across same-shape batches while the
-    /// plan cache stays shared across all of them.
+    /// pays off when the array shape repeats, so a per-shape session
+    /// keeps its block scratch and the plans of its region ids warm
+    /// across same-shape batches.
     sessions: BTreeMap<usize, RegionExecutor<T, O>>,
     admission: Admission<T>,
     epi_tx: Option<mpsc::SyncSender<Epilogue<T>>>,
@@ -396,10 +437,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
             .iter()
             .map(|q| admitted.duration_since(q.enqueued))
             .collect();
-        for _ in 0..k {
-            self.shared.note_job();
-        }
-        self.shared.note_region(k as u64);
+        self.counters.note_batch(k);
 
         // Seed the concat buffer from the members' outputs: initial
         // contents participate exactly as in a standalone region.
@@ -433,11 +471,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
         };
 
         let session = self.sessions.entry(k * n).or_insert_with(|| {
-            RegionExecutor::with_shared(
-                self.cfg.strategy,
-                self.cfg.policy.clone(),
-                Arc::clone(&self.shared),
-            )
+            RegionExecutor::with_policy(self.cfg.strategy, self.cfg.policy.clone())
         });
         let report = session.run_planned(
             region_id(class, n, k),
@@ -481,7 +515,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
 fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
     cfg: ServiceConfig,
     rx: mpsc::Receiver<Vec<Queued<T>>>,
-    shared: Arc<ExecutorShared>,
+    counters: Arc<AdmissionCounters>,
 ) {
     let pool = ThreadPool::new(cfg.threads);
     let (recycle_tx, recycle_rx) = mpsc::channel();
@@ -504,7 +538,7 @@ fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
     let mut d = Dispatcher::<T, O> {
         cfg,
         pool,
-        shared,
+        counters,
         sessions: BTreeMap::new(),
         admission: Admission::new(),
         epi_tx,
@@ -545,7 +579,8 @@ fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
     }
 }
 
-/// A reduction service: one pool, one shared executor state, a queue.
+/// A reduction service: one pool, an executor session per batch shape,
+/// a queue.
 ///
 /// Create with [`new`](ReductionService::new); submit owned jobs with
 /// [`submit`](ReductionService::submit)/[`Ticket::wait`] from any
@@ -560,7 +595,7 @@ pub struct ReductionService<T: AtomicElement, O: ReduceOp<T>> {
     /// *guaranteed* to see each other in the batcher, not merely likely.
     tx: Option<mpsc::Sender<Vec<Queued<T>>>>,
     dispatcher: Option<JoinHandle<()>>,
-    shared: Arc<ExecutorShared>,
+    counters: Arc<AdmissionCounters>,
     _op: PhantomData<fn() -> O>,
 }
 
@@ -568,25 +603,25 @@ impl<T: AtomicElement, O: ReduceOp<T>> ReductionService<T, O> {
     /// Starts the service: spawns the dispatcher thread (which owns the
     /// pool and, in pipelined mode, the epilogue thread).
     pub fn new(cfg: ServiceConfig) -> Self {
-        let shared = Arc::new(ExecutorShared::new());
+        let counters = Arc::new(AdmissionCounters::default());
         let (tx, rx) = mpsc::channel();
-        let shared2 = Arc::clone(&shared);
+        let counters2 = Arc::clone(&counters);
         let dispatcher = std::thread::Builder::new()
             .name("spray-service".into())
-            .spawn(move || dispatcher_main::<T, O>(cfg, rx, shared2))
+            .spawn(move || dispatcher_main::<T, O>(cfg, rx, counters2))
             .expect("spawn service dispatcher thread");
         ReductionService {
             tx: Some(tx),
             dispatcher: Some(dispatcher),
-            shared,
+            counters,
             _op: PhantomData,
         }
     }
 
-    /// The shared executor state: plan cache plus the cumulative
-    /// `jobs`/`batched_regions` admission sinks.
-    pub fn shared(&self) -> &Arc<ExecutorShared> {
-        &self.shared
+    /// The cumulative admission counters (`jobs`, `batched_regions`),
+    /// shared with the dispatcher thread that updates them.
+    pub fn shared(&self) -> &AdmissionCounters {
+        &self.counters
     }
 
     /// Submits one owned job; redeem the ticket with [`Ticket::wait`].
@@ -779,19 +814,72 @@ mod tests {
         assert_eq!(a.batch_size, 1);
         assert_eq!(b.batch_size, 1);
         assert_eq!(c.batch_size, 1);
-        assert_eq!(svc.shared().plans().planned_regions(), 0);
-        // Each class keeps its own cached plan: two more rounds of both
-        // classes replay them, 4 clean replays.
+        assert_eq!(b.report.planned_regions, 0);
+        // Each class keeps its own plan in the n = 64 session: two more
+        // rounds of both classes replay them, 4 clean replays.
+        let mut last = None;
         for _ in 0..2 {
             for (class, salt) in [(1, 1), (2, 2)] {
-                let r = svc.submit(Job {
-                    class,
-                    ..job(64, 0, salt)
-                });
-                assert_eq!(r.wait().out, expected(64, 500, salt, &vec![0; 64]));
+                let r = svc
+                    .submit(Job {
+                        class,
+                        ..job(64, 0, salt)
+                    })
+                    .wait();
+                assert_eq!(r.out, expected(64, 500, salt, &vec![0; 64]));
+                last = Some(r);
             }
         }
-        assert_eq!(svc.shared().plans().planned_regions(), 4);
+        assert_eq!(last.unwrap().report.planned_regions, 4);
+    }
+
+    #[test]
+    fn sessions_keep_their_plans_across_another_sessions_migration() {
+        // A dense shape records, then replays, in its session. A sparse
+        // class runs in another session until the adaptive policy moves
+        // it from block-CAS to atomic, which clears that session's
+        // plans. The dense shape's next job must still replay its own.
+        //
+        // Under the verify feature, another test's schedule controller
+        // could plant migrations in these adaptive sessions; holding an
+        // inert controller (installs serialize) keeps them out.
+        #[cfg(feature = "verify")]
+        let _inert = ompsim::verify::install(ompsim::verify::VerifyConfig {
+            preempt_per_mille: 0,
+            ..Default::default()
+        });
+        let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
+            threads: 2,
+            policy: ExecutorPolicy::Adaptive(spray::AdaptiveConfig::density_only(vec![
+                Strategy::BlockCas { block_size: 64 },
+                Strategy::Atomic,
+            ])),
+            batch_window: 1,
+            pipeline: false,
+            ..ServiceConfig::default()
+        });
+        let dense = || svc.submit(job(64, 0, 1)).wait();
+        assert_eq!(dense().report.planned_regions, 0);
+        assert_eq!(dense().report.planned_regions, 1);
+        let mut sparse = None;
+        for salt in 0..4 {
+            let r = svc
+                .submit(Job {
+                    class: 8,
+                    ..job(8192, 1, 100 + salt)
+                })
+                .wait();
+            assert_eq!(r.out, expected(8192, 500, 100 + salt, &vec![0; 8192]));
+            sparse = Some(r);
+        }
+        assert_eq!(sparse.unwrap().report.strategy, "atomic");
+        let r = dense();
+        assert_eq!(r.out, expected(64, 500, 1, &vec![0; 64]));
+        assert_eq!(r.report.strategy, "block-CAS-64");
+        assert_eq!(
+            r.report.planned_regions, 2,
+            "the dense session lost its plan to another session's migration"
+        );
     }
 
     #[test]
@@ -833,10 +921,17 @@ mod tests {
         for i in 0..256 {
             want[i % 64] += weights[i];
         }
+        // The group is admitted whole, so the window of 2 runs it as two
+        // batched regions. Every member, the last of each batch included,
+        // reports its batch's strategy and applies.
         for r in &results {
             assert_eq!(r.out, want);
+            assert_eq!(r.batch_size, 2);
+            assert_eq!(r.report.strategy, "block-CAS-64");
+            assert_eq!(r.report.counters.totals().applies, 2 * 256);
         }
         assert_eq!(svc.shared().jobs(), 4);
+        assert_eq!(svc.shared().batched_regions(), 2);
     }
 
     #[test]
