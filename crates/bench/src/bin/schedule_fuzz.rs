@@ -39,10 +39,12 @@
 //!   jobs oracle: each seed runs a deterministic job set through a
 //!   [`ReductionService`](spray_service::ReductionService) twice —
 //!   serial submission with batching off, then two submitter threads
-//!   with batching and the pipelined epilogue on — under a seeded
-//!   controller with planted strategy migrations, and requires both
-//!   runs bit-identical (i64) to the sequential loop and to each
-//!   other. Requires `--features verify`;
+//!   with batching on — under a seeded controller with planted strategy
+//!   migrations, and requires both runs bit-identical (i64) to the
+//!   sequential loop and to each other. The sweep fails if no job of
+//!   the serial runs ran off the start strategy (the mode lost its
+//!   teeth); that count is a property of the seeds, since the serial
+//!   run does not batch by timing. Requires `--features verify`;
 //! * `--delta N` — N seeds through the incremental-reduction oracle:
 //!   each seed drives two streams of delta batches (invertible i64 Sum
 //!   hitting both the dirty-block and full-refold paths, and i64 Min on
@@ -481,7 +483,7 @@ fn service_main(o: &FuzzOpts) -> i32 {
                 if !o.quiet {
                     println!(
                         "service seed {seed}: serial and concurrent submission \
-                         bit-identical ({} jobs off the start strategy)",
+                         bit-identical ({} serial jobs off the start strategy)",
                         outcome.off_start_jobs
                     );
                 }
@@ -502,13 +504,15 @@ fn service_main(o: &FuzzOpts) -> i32 {
     }
     if off_start_jobs == 0 {
         eprintln!(
-            "service fuzz: {} seed(s) ran NO job off the start strategy — the mode lost its teeth",
+            "service fuzz: {} seed(s) ran NO serial job off the start strategy — the mode lost \
+             its teeth",
             o.service
         );
         return 1;
     }
     println!(
-        "service fuzz: {} seed(s) from {} clean ({off_start_jobs} jobs ran after a migration)",
+        "service fuzz: {} seed(s) from {} clean ({off_start_jobs} serial-run jobs ran after a \
+         migration)",
         o.service, o.start
     );
     0

@@ -4,14 +4,17 @@
 //! so every pair is batchable) is pushed through a [`ReductionService`]
 //! twice per thread count:
 //!
-//! * **serial** — `batch_window = 1`, inline epilogues, one submitter
-//!   that waits for each job before submitting the next: every job pays
-//!   its own region fork/join and plan lookup;
-//! * **batched** — `batch_window = 8`, pipelined epilogue, two
-//!   submitter threads bursting the whole job set: the admission loop
-//!   coalesces same-shape jobs into shared regions (one plan, one
-//!   fork/join, per-job output views) and overlaps epilogues with the
-//!   next batch's apply loop.
+//! * **serial** — `batch_window = 1`, one submitter that waits for each
+//!   job before submitting the next: every job pays its own region
+//!   fork/join and plan lookup, reducing straight into its own output;
+//! * **batched** — `batch_window = 8`, two submitter threads bursting
+//!   the whole job set: the admission loop coalesces same-shape jobs
+//!   into shared regions (one plan, one fork/join, per-job output
+//!   segments of one concatenated buffer).
+//!
+//! Either way the dispatcher delivers each result itself, right after
+//! the region: a batched job's segment is copied back into its output
+//! before its reply.
 //!
 //! Per column the report is jobs/sec (best of `--reps`) plus the p99
 //! queue wait from each job's [`JobResult`](spray_service::JobResult)
@@ -22,8 +25,8 @@
 //! batched (the column under test silently degraded to serial). The
 //! gate is calibrated for team widths ≥ 4, where per-region fork/join
 //! is expensive enough that coalescing pays well past the slack (CI
-//! runs `--threads 4`); at 2 threads batching still wins, but only
-//! single-digit percent.
+//! runs `--threads 4`); at 2 threads batching still wins, by less
+//! (about 1.4–1.5× on a 2-vCPU host).
 
 use bench::args::Opts;
 use ompsim::verify::mix64;
@@ -55,14 +58,13 @@ fn job(n: usize, iters: usize, j: u64) -> Job<'static, i64> {
     }
 }
 
-fn config(threads: usize, batch_window: usize, pipeline: bool) -> ServiceConfig {
+fn config(threads: usize, batch_window: usize) -> ServiceConfig {
     ServiceConfig {
         threads,
         strategy: Strategy::BlockCas { block_size: 64 },
         policy: ExecutorPolicy::Fixed,
         schedule: ompsim::Schedule::default(),
         batch_window,
-        pipeline,
     }
 }
 
@@ -82,9 +84,9 @@ fn p99(mut waits: Vec<f64>) -> f64 {
 }
 
 /// Serial column: submit-wait-submit through a window-1 service, so
-/// every job runs as its own region with an inline epilogue.
+/// every job runs as its own region over its own output.
 fn run_serial(threads: usize, njobs: u64, n: usize, iters: usize) -> Measured {
-    let svc = ReductionService::<i64, Sum>::new(config(threads, 1, false));
+    let svc = ReductionService::<i64, Sum>::new(config(threads, 1));
     // Warm the session (scratch arena + recorded plan) outside the timer.
     svc.submit(job(n, iters, u64::MAX)).wait();
     let mut waits = Vec::with_capacity(njobs as usize);
@@ -102,9 +104,9 @@ fn run_serial(threads: usize, njobs: u64, n: usize, iters: usize) -> Measured {
 }
 
 /// Batched column: two submitter threads burst the whole job set into a
-/// window-8 pipelined service, then redeem their tickets.
+/// window-8 service, then redeem their tickets.
 fn run_batched(threads: usize, njobs: u64, n: usize, iters: usize) -> Measured {
-    let svc = ReductionService::<i64, Sum>::new(config(threads, 8, true));
+    let svc = ReductionService::<i64, Sum>::new(config(threads, 8));
     svc.submit(job(n, iters, u64::MAX)).wait();
     let t0 = Instant::now();
     let waits: Vec<f64> = std::thread::scope(|s| {
@@ -147,7 +149,8 @@ fn main() {
     let opts = Opts::parse();
     // Batching is a small-job throughput tier: it amortizes per-region
     // fork/join and plan lookup across jobs, and pays for that with two
-    // extra copies of each job's output (concat seed + scatter-back).
+    // copies of each batched job's output (concat seed + scatter-back)
+    // that a job running alone does not make.
     // The bench therefore holds the per-job shape small — the regime the
     // tier exists for — and scales the *number* of jobs for the full-size
     // run; `--n` raises the per-job shape if you want to watch batching

@@ -114,7 +114,7 @@ fn main() {
         strategies.len()
     );
 
-    // Planned-region pipeline: a recording region then a replay through
+    // Planned regions end to end: a recording region then a replay through
     // the same executor must report the replay in `planned_regions`, and
     // the fields must survive the JSON round trip.
     let mut ex = spray::RegionExecutor::<i64, Sum>::new(Strategy::BlockCas { block_size: 64 });

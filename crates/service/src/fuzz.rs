@@ -2,18 +2,17 @@
 //!
 //! One case per seed: a deterministic set of integer scatter jobs is
 //! run twice through a [`ReductionService`] — once submitted serially
-//! with batching disabled (`batch_window = 1`, inline epilogues), once
-//! submitted concurrently from two OS threads with batching and the
-//! pipelined epilogue enabled — and both runs execute under ompsim's
-//! seeded schedule controller with planted strategy migrations
-//! (`migrate_per_mille` + a density-only adaptive policy, the same
-//! determinism envelope as `schedule_fuzz --migrations`). Because the
-//! element type is `i64` under `Sum`, every run must be **bit-identical**
-//! to the sequential loop regardless of interleaving, batch composition,
-//! or where a migration lands — so serial and concurrent submission are
-//! also bit-identical to each other, including across a mid-sweep
-//! migration. Any divergence is a one-line repro:
-//! `schedule_fuzz --service 1 --start <seed>`.
+//! with batching disabled (`batch_window = 1`), once submitted
+//! concurrently from two OS threads with batching on — and both runs
+//! execute under ompsim's seeded schedule controller with planted
+//! strategy migrations (`migrate_per_mille` + a density-only adaptive
+//! policy, the same determinism envelope as `schedule_fuzz
+//! --migrations`). Because the element type is `i64` under `Sum`, every
+//! run must be **bit-identical** to the sequential loop regardless of
+//! interleaving, batch composition, or where a migration lands — so
+//! serial and concurrent submission are also bit-identical to each
+//! other, including across a mid-sweep migration. Any divergence is a
+//! one-line repro: `schedule_fuzz --service 1 --start <seed>`.
 
 use crate::{Job, JobResult, ReductionService, ServiceConfig};
 use ompsim::verify::{self, mix64, VerifyConfig};
@@ -23,10 +22,12 @@ use spray::{AdaptiveConfig, ExecutorPolicy, Strategy, Sum};
 pub struct ServiceOutcome {
     /// `Ok` when both runs matched the sequential loop bit-for-bit.
     pub result: Result<(), String>,
-    /// Jobs, across both runs, whose region ran on a strategy other than
+    /// Jobs of the serial run whose region ran on a strategy other than
     /// the configured start strategy — each one ran after a planted or
-    /// cost-model migration. The sweep checks the aggregate so the mode
-    /// keeps its teeth.
+    /// cost-model migration. The serial run has one submitter and window
+    /// 1, so the count repeats exactly for a seed; the concurrent run
+    /// batches by timing and is not counted. The sweep checks the
+    /// aggregate so the mode keeps its teeth.
     pub off_start_jobs: u64,
 }
 
@@ -110,7 +111,7 @@ fn case_jobs(seed: u64) -> Vec<CaseJob> {
 /// The sweep's per-seed service configurations (shared shape, distinct
 /// admission): adaptive over a density-only candidate set so planted
 /// migrations replay deterministically.
-fn service_cfg(seed: u64, batch_window: usize, pipeline: bool) -> ServiceConfig {
+fn service_cfg(seed: u64, batch_window: usize) -> ServiceConfig {
     let h = mix64(seed ^ 0xC0F1_6000);
     let block_size = 16 << (h % 3); // 16 | 32 | 64
     let threads = 2 + (h >> 8) as usize % 3;
@@ -129,7 +130,6 @@ fn service_cfg(seed: u64, batch_window: usize, pipeline: bool) -> ServiceConfig 
             ompsim::Schedule::Dynamic { chunk: 8 }
         },
         batch_window,
-        pipeline,
     }
 }
 
@@ -165,21 +165,19 @@ fn count_off_start(start: Strategy, results: &[(usize, JobResult<i64>)]) -> u64 
 /// One service fuzz iteration; see the module docs for the full shape.
 pub fn service_case(seed: u64) -> ServiceOutcome {
     let jobs = case_jobs(seed);
-    let start = service_cfg(seed, 1, false).strategy;
-    let mut off_start_jobs = 0u64;
+    let cfg = service_cfg(seed, 1);
+    let start = cfg.strategy;
 
-    // Run A: serial submission, no batching, inline epilogues.
+    // Run A: serial submission, no batching.
     let serial: Vec<(usize, JobResult<i64>)> = {
         let _session = verify::install(service_params(seed));
-        let svc = ReductionService::<i64, Sum>::new(service_cfg(seed, 1, false));
-        let out = jobs
-            .iter()
+        let svc = ReductionService::<i64, Sum>::new(cfg);
+        jobs.iter()
             .enumerate()
             .map(|(j, cj)| (j, svc.submit(cj.to_job()).wait()))
-            .collect::<Vec<_>>();
-        off_start_jobs += count_off_start(start, &out);
-        out
+            .collect()
     };
+    let off_start_jobs = count_off_start(start, &serial);
     if let Err(e) = check_outputs("serial", seed, &jobs, &serial) {
         return ServiceOutcome {
             result: Err(e),
@@ -188,11 +186,11 @@ pub fn service_case(seed: u64) -> ServiceOutcome {
     }
 
     // Run B: two submitter threads interleaving (evens vs odds), with
-    // batching and the pipelined epilogue on.
+    // batching on.
     let batch_window = 2 + (mix64(seed ^ 0xBA7C) % 3) as usize;
     let concurrent: Vec<(usize, JobResult<i64>)> = {
         let _session = verify::install(service_params(seed));
-        let svc = ReductionService::<i64, Sum>::new(service_cfg(seed, batch_window, true));
+        let svc = ReductionService::<i64, Sum>::new(service_cfg(seed, batch_window));
         let mut out = std::thread::scope(|s| {
             let halves: Vec<_> = [0usize, 1]
                 .map(|parity| {
@@ -219,7 +217,6 @@ pub fn service_case(seed: u64) -> ServiceOutcome {
                 .collect::<Vec<_>>()
         });
         out.sort_by_key(|(j, _)| *j);
-        off_start_jobs += count_off_start(start, &out);
         out
     };
     if let Err(e) = check_outputs("concurrent", seed, &jobs, &concurrent) {
@@ -265,5 +262,18 @@ mod tests {
         // job running after a planted migration is overwhelmingly likely;
         // a zero here means the envelope is wired wrong, not bad luck.
         assert!(off_start_jobs > 0, "no job ran off the start strategy");
+    }
+
+    #[test]
+    fn off_start_count_repeats_for_a_seed() {
+        for seed in 0..3 {
+            let (a, b) = (service_case(seed), service_case(seed));
+            a.result.unwrap();
+            b.result.unwrap();
+            assert_eq!(
+                a.off_start_jobs, b.off_start_jobs,
+                "seed {seed}: two runs counted different off-start jobs"
+            );
+        }
     }
 }

@@ -5,11 +5,12 @@
 //! breaks down when several independent consumers (solver iterations,
 //! concurrent request handlers, pipeline stages) each need sparse
 //! reductions but the machine has exactly one set of cores. This crate
-//! adds the missing layer: a [`ReductionService`] that owns one
-//! [`ompsim::ThreadPool`], one executor session per batch shape and its
-//! [`AdmissionCounters`], and accepts *jobs* from any thread.
+//! adds the missing layer: a [`ReductionService`] whose one dispatcher
+//! thread owns one [`ompsim::ThreadPool`], one executor session per batch
+//! shape and its [`AdmissionCounters`], and runs the *jobs* any thread
+//! submits.
 //!
-//! The service buys three things a per-caller executor cannot:
+//! The service buys two things a per-caller executor cannot:
 //!
 //! * **Fair-share admission** — jobs queue per tenant; the dispatcher
 //!   serves tenant head-of-line jobs round-robin, so a chatty tenant
@@ -20,11 +21,11 @@
 //!   schedule, one barrier set for up to [`ServiceConfig::batch_window`]
 //!   jobs. Each job's updates are redirected into its own segment by an
 //!   offsetting view, so outputs stay per-job.
-//! * **Pipelining** — with [`ServiceConfig::pipeline`], the service
-//!   epilogue of batch *N* (scattering segments back to per-job output
-//!   vectors, delivering results, recycling the concat buffer) runs on a
-//!   dedicated thread while the dispatcher is already inside batch
-//!   *N+1*'s apply loop on the pool.
+//!
+//! The dispatcher delivers each batch itself, right after its region. A
+//! lone job reduces straight into its own output, with no copies; a
+//! batch of two or more copies each member's segment back into that
+//! member's output, drops the member's body and then replies.
 //!
 //! Results are exact in the usual spray sense: integer reductions are
 //! bit-identical to the sequential loop no matter how jobs are batched
@@ -33,8 +34,8 @@
 //! `fuzz` module turns that claim into a seeded differential oracle
 //! (`schedule_fuzz --service`).
 //!
-//! See DESIGN.md §9 for what each session owns and the
-//! batching/pipelining rules in one place.
+//! See DESIGN.md §9 for what each session owns and the batching and
+//! delivery rules in one place.
 
 #![warn(missing_docs)]
 
@@ -69,10 +70,6 @@ pub struct ServiceConfig {
     /// (every job runs as its own region, the serial baseline the
     /// `service_throughput` bench compares against).
     pub batch_window: usize,
-    /// Run batch epilogues (segment scatter-back, result delivery,
-    /// buffer recycling) on a dedicated thread, overlapped with the
-    /// next batch's apply loop. `false` finishes each batch inline.
-    pub pipeline: bool,
 }
 
 impl Default for ServiceConfig {
@@ -83,7 +80,6 @@ impl Default for ServiceConfig {
             policy: ExecutorPolicy::Fixed,
             schedule: Schedule::default(),
             batch_window: 8,
-            pipeline: true,
         }
     }
 }
@@ -125,10 +121,10 @@ pub type JobBody<'a, T> = Box<dyn Fn(&mut dyn ReducerView<T>, usize) + Send + Sy
 /// One reduction job: an owned output array, an iteration count, and a
 /// body applying contributions through a [`ReducerView`].
 ///
-/// The output vector travels with the job (the service reduces into a
-/// concatenated buffer seeded from it and scatters the final segment
-/// back), so initial contents participate exactly as they would in a
-/// standalone region.
+/// The output vector travels with the job: a job that runs alone reduces
+/// straight into it, and a batched job into a concatenated buffer seeded
+/// from it, whose segment is copied back. Either way initial contents
+/// participate exactly as they would in a standalone region.
 pub struct Job<'a, T> {
     /// Fair-share queueing key: jobs queue FIFO per tenant and tenants
     /// are served round-robin.
@@ -189,64 +185,14 @@ struct Queued<T> {
     reply: mpsc::Sender<JobResult<T>>,
 }
 
-/// Everything one finished batch needs to deliver its results. In
-/// pipelined mode this crosses to the epilogue thread; otherwise it is
-/// consumed inline by the dispatcher.
-struct Epilogue<T> {
-    /// The concatenated reduction buffer, fully merged.
-    concat: Vec<T>,
-    /// Per-job output length (all batch members share it).
-    n: usize,
-    /// Region telemetry: a copy goes into every member's result but the
-    /// last, which takes this one.
-    report: RunReport,
-    items: Vec<EpilogueItem<T>>,
-}
+/// The kernel of a lone job's region: its body on the region's own view.
+struct LoneKernel<'a, T>(&'a (dyn Fn(&mut dyn ReducerView<T>, usize) + Send + Sync));
 
-struct EpilogueItem<T> {
-    out: Vec<T>,
-    /// Held here so the body is dropped *before* the reply is sent:
-    /// once a scoped submitter observes the result, no reference into
-    /// its borrows may remain anywhere in the service.
-    body: JobBody<'static, T>,
-    reply: mpsc::Sender<JobResult<T>>,
-    queue_wait: Duration,
-}
-
-/// Scatters segments back to per-job outputs, delivers results, and
-/// returns the concat buffer to the dispatcher's free list.
-fn finish_epilogue<T: Element>(e: Epilogue<T>, recycle: &mpsc::Sender<Vec<T>>) {
-    let Epilogue {
-        concat: mut buf,
-        n,
-        report,
-        mut items,
-    } = e;
-    let batch_size = items.len();
-    let deliver = |j: usize, item: EpilogueItem<T>, report: RunReport| {
-        let EpilogueItem {
-            mut out,
-            body,
-            reply,
-            queue_wait,
-        } = item;
-        out.copy_from_slice(&buf[j * n..(j + 1) * n]);
-        drop(body);
-        // A submitter that dropped its ticket simply forfeits the result.
-        let _ = reply.send(JobResult {
-            out,
-            report,
-            queue_wait,
-            batch_size,
-        });
-    };
-    let last = items.pop().expect("a batch holds at least one job");
-    for (j, item) in items.into_iter().enumerate() {
-        deliver(j, item, report.clone());
+impl<T: Element> Kernel<T> for LoneKernel<'_, T> {
+    #[inline(always)]
+    fn item<V: ReducerView<T>>(&self, view: &mut V, i: usize) {
+        (self.0)(view, i);
     }
-    deliver(batch_size - 1, last, report);
-    buf.clear();
-    let _ = recycle.send(buf);
 }
 
 /// One slot of a batched region: where this job's iterations start in
@@ -318,6 +264,9 @@ fn region_id(class: u64, n: usize, k: usize) -> u64 {
 struct Admission<T> {
     tenants: BTreeMap<u64, VecDeque<Queued<T>>>,
     cursor: u64,
+    /// The tenant visit order of a batched pick, kept so that every pick
+    /// reuses one buffer.
+    order: Vec<u64>,
 }
 
 impl<T> Admission<T> {
@@ -325,6 +274,7 @@ impl<T> Admission<T> {
         Admission {
             tenants: BTreeMap::new(),
             cursor: 0,
+            order: Vec::new(),
         }
     }
 
@@ -359,12 +309,14 @@ impl<T> Admission<T> {
         if window > 1 {
             // Visit order: tenants after the primary first, wrapping,
             // the primary's own queue last in each pass.
-            let mut order: Vec<u64> = self.tenants.keys().copied().collect();
+            let order = &mut self.order;
+            order.clear();
+            order.extend(self.tenants.keys().copied());
             let pivot = order.partition_point(|&t| t <= primary_tenant) % order.len().max(1);
             order.rotate_left(pivot);
             loop {
                 let mut took = false;
-                for t in &order {
+                for t in order.iter() {
                     if batch.len() >= window {
                         break;
                     }
@@ -400,115 +352,80 @@ struct Dispatcher<T: AtomicElement, O: ReduceOp<T>> {
     /// across same-shape batches.
     sessions: BTreeMap<usize, RegionExecutor<T, O>>,
     admission: Admission<T>,
-    epi_tx: Option<mpsc::SyncSender<Epilogue<T>>>,
-    recycle_tx: mpsc::Sender<Vec<T>>,
-    recycle_rx: mpsc::Receiver<Vec<T>>,
-    freelist: Vec<Vec<T>>,
+    /// The concatenated output of a batch of two or more jobs. Only one
+    /// batch is live at a time, so every batch reuses this buffer.
+    concat: Vec<T>,
 }
 
-/// Concat buffers kept on the dispatcher free list (more are dropped),
-/// and finished batches that may wait for the epilogue thread: once that
-/// many are queued, the dispatcher blocks before starting another region,
-/// so a dispatcher that outruns the epilogue cannot pile up concat
-/// buffers without bound.
-const FREELIST_CAP: usize = 8;
-
 impl<T: AtomicElement, O: ReduceOp<T>> Dispatcher<T, O> {
-    /// An empty buffer with capacity for `len` elements, recycled from
-    /// a finished batch when one is available.
-    fn take_buf(&mut self, len: usize) -> Vec<T> {
-        while let Ok(b) = self.recycle_rx.try_recv() {
-            if self.freelist.len() < FREELIST_CAP {
-                self.freelist.push(b);
-            }
-        }
-        match self.freelist.iter().position(|b| b.capacity() >= len) {
-            Some(pos) => self.freelist.swap_remove(pos),
-            None => Vec::with_capacity(len),
-        }
-    }
-
-    fn run_batch(&mut self, batch: Vec<Queued<T>>) {
+    /// Runs `batch` as one region, then delivers each member's result.
+    fn run_batch(&mut self, mut batch: Vec<Queued<T>>) {
         let admitted = Instant::now();
         let k = batch.len();
         let n = batch[0].job.out.len();
-        let class = batch[0].job.class;
-        let waits: Vec<Duration> = batch
-            .iter()
-            .map(|q| admitted.duration_since(q.enqueued))
-            .collect();
+        let region = region_id(batch[0].job.class, n, k);
         self.counters.note_batch(k);
-
-        // Seed the concat buffer from the members' outputs: initial
-        // contents participate exactly as in a standalone region.
-        let mut concat = self.take_buf(k * n);
-        for q in &batch {
-            concat.extend_from_slice(&q.job.out);
-        }
-
-        // Fused iteration range and member lookup table.
-        let mut starts = Vec::with_capacity(k);
-        let mut total = 0usize;
-        for q in &batch {
-            starts.push(total);
-            total += q.job.iters;
-        }
-        let uniform = (batch[0].job.iters > 0
-            && batch.iter().all(|q| q.job.iters == batch[0].job.iters))
-        .then(|| batch[0].job.iters);
-        let slots: Vec<Slot<'_, T>> = batch
-            .iter()
-            .enumerate()
-            .map(|(j, q)| Slot {
-                body: &*q.job.body,
-                start: starts[j],
-                offset: j * n,
-            })
-            .collect();
-        let kernel = BatchKernel {
-            slots: &slots,
-            uniform,
-        };
-
         let session = self.sessions.entry(k * n).or_insert_with(|| {
             RegionExecutor::with_policy(self.cfg.strategy, self.cfg.policy.clone())
         });
-        let report = session.run_planned(
-            region_id(class, n, k),
-            &self.pool,
-            &mut concat,
-            0..total,
-            self.cfg.schedule,
-            &kernel,
-        );
-        drop(slots);
+        let (pool, schedule) = (&self.pool, self.cfg.schedule);
+        let concat = &mut self.concat;
 
-        let items = batch
-            .into_iter()
-            .zip(waits)
-            .map(|(q, queue_wait)| EpilogueItem {
-                out: q.job.out,
-                body: q.job.body,
-                reply: q.reply,
-                queue_wait,
-            })
-            .collect();
-        let epilogue = Epilogue {
-            concat,
-            n,
-            report,
-            items,
-        };
-        match &self.epi_tx {
-            Some(tx) => {
-                // Blocks while the epilogue queue is full; a dead
-                // epilogue thread falls back to inline delivery.
-                if let Err(mpsc::SendError(e)) = tx.send(epilogue) {
-                    finish_epilogue(e, &self.recycle_tx);
-                }
+        let report = if let [lone] = &mut batch[..] {
+            let job = &mut lone.job;
+            let kernel = LoneKernel(&*job.body);
+            session.run_planned(region, pool, &mut job.out, 0..job.iters, schedule, &kernel)
+        } else {
+            // Seed the concat buffer from the members' outputs: initial
+            // contents participate exactly as in a standalone region.
+            concat.clear();
+            let mut slots = Vec::with_capacity(k);
+            let mut total = 0usize;
+            for (j, q) in batch.iter().enumerate() {
+                concat.extend_from_slice(&q.job.out);
+                slots.push(Slot {
+                    body: &*q.job.body,
+                    start: total,
+                    offset: j * n,
+                });
+                total += q.job.iters;
             }
-            None => finish_epilogue(epilogue, &self.recycle_tx),
+            let m = batch[0].job.iters;
+            let kernel = BatchKernel {
+                slots: &slots,
+                uniform: (m > 0 && batch.iter().all(|q| q.job.iters == m)).then_some(m),
+            };
+            session.run_planned(region, pool, concat, 0..total, schedule, &kernel)
+        };
+
+        let deliver = |j: usize, q: Queued<T>, report: RunReport| {
+            let Queued {
+                job: Job { mut out, body, .. },
+                enqueued,
+                reply,
+            } = q;
+            if k > 1 {
+                out.copy_from_slice(&concat[j * n..(j + 1) * n]);
+            }
+            // Drop the body before replying: once a scoped submitter
+            // observes its result, no reference into its borrows may
+            // remain anywhere in the service.
+            drop(body);
+            // A submitter that dropped its ticket simply forfeits the result.
+            let _ = reply.send(JobResult {
+                out,
+                report,
+                queue_wait: admitted.duration_since(enqueued),
+                batch_size: k,
+            });
+        };
+        // Every member but the last gets a copy of the report; the last
+        // takes it.
+        let last = batch.pop().expect("a batch holds at least one job");
+        for (j, q) in batch.into_iter().enumerate() {
+            deliver(j, q, report.clone());
         }
+        deliver(k - 1, last, report);
     }
 }
 
@@ -517,34 +434,14 @@ fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
     rx: mpsc::Receiver<Vec<Queued<T>>>,
     counters: Arc<AdmissionCounters>,
 ) {
-    let pool = ThreadPool::new(cfg.threads);
-    let (recycle_tx, recycle_rx) = mpsc::channel();
-    let (epi_tx, epi_handle) = if cfg.pipeline {
-        let (tx, erx) = mpsc::sync_channel::<Epilogue<T>>(FREELIST_CAP);
-        let rtx = recycle_tx.clone();
-        let h = std::thread::Builder::new()
-            .name("spray-service-epilogue".into())
-            .spawn(move || {
-                while let Ok(e) = erx.recv() {
-                    finish_epilogue(e, &rtx);
-                }
-            })
-            .expect("spawn service epilogue thread");
-        (Some(tx), Some(h))
-    } else {
-        (None, None)
-    };
     let window = cfg.batch_window.max(1);
     let mut d = Dispatcher::<T, O> {
+        pool: ThreadPool::new(cfg.threads),
         cfg,
-        pool,
         counters,
         sessions: BTreeMap::new(),
         admission: Admission::new(),
-        epi_tx,
-        recycle_tx,
-        recycle_rx,
-        freelist: Vec::new(),
+        concat: Vec::new(),
     };
     loop {
         if d.admission.is_empty() {
@@ -569,13 +466,9 @@ fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
             d.run_batch(batch);
         }
     }
-    // Channel closed: drain the backlog, then retire the epilogue thread.
+    // Channel closed: drain the backlog.
     while let Some(batch) = d.admission.pick(window) {
         d.run_batch(batch);
-    }
-    d.epi_tx.take();
-    if let Some(h) = epi_handle {
-        let _ = h.join();
     }
 }
 
@@ -586,7 +479,7 @@ fn dispatcher_main<T: AtomicElement, O: ReduceOp<T>>(
 /// [`submit`](ReductionService::submit)/[`Ticket::wait`] from any
 /// thread, or borrowed-body jobs with
 /// [`run_scoped`](ReductionService::run_scoped). Dropping the service
-/// drains the queue and joins its threads.
+/// drains the queue and joins its dispatcher thread.
 pub struct ReductionService<T: AtomicElement, O: ReduceOp<T>> {
     /// Each message is a submission *group*: [`submit`](ReductionService::submit)
     /// sends singletons, [`run_scoped`](ReductionService::run_scoped)
@@ -600,8 +493,8 @@ pub struct ReductionService<T: AtomicElement, O: ReduceOp<T>> {
 }
 
 impl<T: AtomicElement, O: ReduceOp<T>> ReductionService<T, O> {
-    /// Starts the service: spawns the dispatcher thread (which owns the
-    /// pool and, in pipelined mode, the epilogue thread).
+    /// Starts the service: spawns the dispatcher thread, which owns the
+    /// pool, runs every batch and delivers every result.
     pub fn new(cfg: ServiceConfig) -> Self {
         let counters = Arc::new(AdmissionCounters::default());
         let (tx, rx) = mpsc::channel();
@@ -742,7 +635,6 @@ mod tests {
     fn single_job_matches_sequential() {
         let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
             threads: 2,
-            pipeline: false,
             ..ServiceConfig::default()
         });
         let r = svc.submit(job(128, 0, 42)).wait();
@@ -757,7 +649,6 @@ mod tests {
         let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
             threads: 4,
             batch_window: 4,
-            pipeline: true,
             ..ServiceConfig::default()
         });
         // Submit a burst before waiting so the dispatcher sees a backlog
@@ -795,7 +686,6 @@ mod tests {
         let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
             threads: 2,
             batch_window: 8,
-            pipeline: false,
             ..ServiceConfig::default()
         });
         let a = svc.submit(Job {
@@ -855,7 +745,6 @@ mod tests {
                 Strategy::Atomic,
             ])),
             batch_window: 1,
-            pipeline: false,
             ..ServiceConfig::default()
         });
         let dense = || svc.submit(job(64, 0, 1)).wait();
@@ -886,7 +775,6 @@ mod tests {
     fn initial_output_contents_participate() {
         let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
             threads: 2,
-            pipeline: false,
             ..ServiceConfig::default()
         });
         let init: Vec<i64> = (0..64).map(|i| i as i64 * 10).collect();
@@ -894,6 +782,80 @@ mod tests {
         j.out = init.clone();
         let r = svc.submit(j).wait();
         assert_eq!(r.out, expected(64, 500, 9, &init));
+    }
+
+    #[test]
+    fn batched_initial_outputs_participate_per_segment() {
+        // A batch of k >= 2 seeds its concat buffer from the members'
+        // outputs and copies each segment back: distinct nonzero initial
+        // contents must land in their own job's result.
+        let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
+            threads: 2,
+            batch_window: 4,
+            ..ServiceConfig::default()
+        });
+        let inits: Vec<Vec<i64>> = (0..3i64)
+            .map(|t| (0..64).map(|i| (t + 1) * 1000 + i).collect())
+            .collect();
+        let jobs = inits
+            .iter()
+            .enumerate()
+            .map(|(t, init)| Job {
+                out: init.clone(),
+                ..job(64, t as u64, 20 + t as u64)
+            })
+            .collect();
+        let results = svc.run_scoped(jobs);
+        for (t, r) in results.iter().enumerate() {
+            assert_eq!(
+                r.out,
+                expected(64, 500, 20 + t as u64, &inits[t]),
+                "job {t}"
+            );
+            assert_eq!(r.batch_size, 3);
+        }
+    }
+
+    #[test]
+    fn lone_scoped_job_drops_its_body_before_returning() {
+        // A lone job reduces straight into its own output; its borrowed
+        // body (and everything it holds) must be gone by the time
+        // `run_scoped` returns.
+        struct Guard<'a>(&'a AtomicU64);
+        impl Drop for Guard<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let dropped = AtomicU64::new(0);
+        let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        });
+        let weights: Vec<i64> = (0..300).map(|i| i % 11 - 5).collect();
+        let guard = Guard(&dropped);
+        let w = &weights;
+        let results = svc.run_scoped(vec![Job {
+            tenant: 0,
+            class: 4,
+            out: vec![0i64; 96],
+            iters: 300,
+            body: Box::new(move |view, i| {
+                let _held = &guard;
+                view.apply(i * 7 % 96, w[i]);
+            }),
+        }]);
+        assert_eq!(
+            dropped.load(Ordering::Relaxed),
+            1,
+            "body outlived run_scoped"
+        );
+        let mut want = vec![0i64; 96];
+        for (i, &w) in weights.iter().enumerate() {
+            want[i * 7 % 96] += w;
+        }
+        assert_eq!(results[0].out, want);
+        assert_eq!(results[0].batch_size, 1);
     }
 
     #[test]
@@ -940,7 +902,6 @@ mod tests {
         let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
             threads: 2,
             batch_window: 4,
-            pipeline: false,
             ..ServiceConfig::default()
         });
         let jobs: Vec<Job<'_, i64>> = (0..3u64)
@@ -970,7 +931,6 @@ mod tests {
         let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
             threads: 2,
             batch_window: 1,
-            pipeline: false,
             ..ServiceConfig::default()
         });
         let chatty: Vec<_> = (0..16).map(|j| svc.submit(job(64, 0, j))).collect();

@@ -12,6 +12,7 @@ mod common;
 use common::{build_graph, run_regions_reused, PushKernel};
 use ompsim::{Schedule, ThreadPool};
 use spray::{reduce_strategy, Kernel, ReducerView, ReusableReducer, Strategy, Sum};
+use spray_service::{Job, ReductionService, ServiceConfig};
 use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
@@ -282,4 +283,50 @@ fn warm_windowed_replays_allocate_nothing() {
         "seven regions of two passes"
     );
     assert_eq!(warm, 0, "warm windowed replays allocated {warm} times");
+}
+
+/// Allocation ceiling of one warm lone job through a default-config
+/// service, from `submit` to the return of `Ticket::wait`: the
+/// submitter's channel and message, the dispatcher's admission, the
+/// region and the reply. The measured mean, 14.03, rounded up.
+const LONE_JOB_ALLOCS: f64 = 15.0;
+
+/// A job that runs alone reduces straight into its own output and is
+/// delivered on the dispatcher, so it pays for no concat buffer, copy or
+/// handoff to another thread.
+#[test]
+fn lone_service_jobs_stay_under_an_allocation_ceiling() {
+    let _guard = counting();
+    let n = 2048;
+    let svc = ReductionService::<i64, Sum>::new(ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    });
+    let job = |salt: u64| Job {
+        tenant: 0,
+        class: 1,
+        out: vec![0i64; n],
+        iters: 1024,
+        body: Box::new(move |view, i| {
+            let h = ompsim::verify::mix64(salt ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            view.apply(h as usize % n, 1 + (h >> 32) as i64 % 5);
+        }),
+    };
+    for salt in 0..20 {
+        svc.submit(job(salt)).wait();
+    }
+    let jobs = 64;
+    let mut allocs = 0;
+    for salt in 100..100 + jobs {
+        let j = job(salt);
+        let before = memtrack::total_allocations();
+        let r = svc.submit(j).wait();
+        allocs += memtrack::total_allocations() - before;
+        assert_eq!(r.batch_size, 1, "a lone submit-wait job ran batched");
+    }
+    let mean = allocs as f64 / jobs as f64;
+    assert!(
+        mean <= LONE_JOB_ALLOCS,
+        "a warm lone job allocated {mean:.2} times on average (ceiling {LONE_JOB_ALLOCS})"
+    );
 }
