@@ -21,10 +21,6 @@ pub struct Opts {
     /// Gate mode (`--check`): exit nonzero when the binary's acceptance
     /// assertion fails, for use as a CI smoke gate.
     pub check: bool,
-    /// Scratch-memory budget in bytes (`--budget-bytes B`), forwarded to
-    /// the executor as a [`spray::PlanBudget`]. `None` = unlimited; `0`
-    /// is meaningful (no shared scratch beyond the bare minimum).
-    pub budget_bytes: Option<usize>,
     /// Scatter strategy override (`--strategy block-cas-64`), parsed by
     /// [`spray::Strategy`]'s `FromStr` — the one grammar every binary
     /// shares. `None` = the binary's own default.
@@ -50,7 +46,6 @@ impl Default for Opts {
             quick: false,
             n: None,
             check: false,
-            budget_bytes: None,
             strategy: None,
             churn: Vec::new(),
         }
@@ -124,16 +119,6 @@ impl Opts {
                             .unwrap_or_else(|| usage("bad problem size")),
                     );
                 }
-                "--budget-bytes" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--budget-bytes needs a value"));
-                    opts.budget_bytes = Some(
-                        v.parse::<usize>()
-                            .ok()
-                            .unwrap_or_else(|| usage("bad budget")),
-                    );
-                }
                 "--strategy" => {
                     let v = it
                         .next()
@@ -162,7 +147,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: <bin> [--threads 1,2,4] [--reps N] [--n SIZE] [--budget-bytes B] \
+        "usage: <bin> [--threads 1,2,4] [--reps N] [--n SIZE] \
          [--strategy LABEL] [--churn F1,F2] [--quick] [--check]\n\
          prints CSV to stdout; lines starting with # are context"
     );
@@ -184,25 +169,16 @@ mod tests {
         assert_eq!(o.reps, 5);
         assert!(o.threads.contains(&1));
         assert!(o.n.is_none());
-        assert!(o.budget_bytes.is_none());
     }
 
     #[test]
     fn full_flags() {
-        let o = parse("--threads 1,3,9 --reps 2 --n 1000 --budget-bytes 4096 --quick --check");
+        let o = parse("--threads 1,3,9 --reps 2 --n 1000 --quick --check");
         assert_eq!(o.threads, vec![1, 3, 9]);
         assert_eq!(o.reps, 2);
         assert_eq!(o.n, Some(1000));
-        assert_eq!(o.budget_bytes, Some(4096));
         assert!(o.quick);
         assert!(o.check);
-    }
-
-    #[test]
-    fn zero_budget_is_legal() {
-        // 0 means "no shared scratch", not "unset".
-        let o = parse("--budget-bytes 0");
-        assert_eq!(o.budget_bytes, Some(0));
     }
 
     #[test]

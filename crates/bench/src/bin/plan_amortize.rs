@@ -18,14 +18,12 @@
 //!
 //! Prints CSV and writes `BENCH_plan_amortize.json`. With `--check`,
 //! exits nonzero if any planned steady-state is slower than unplanned
-//! beyond a fixed slack (CI smoke gate). `--budget-bytes B` caps the
-//! plan's shared scratch: blocks that no longer fit are demoted to
-//! lock-striped in-place combining, and each row reports the
-//! `scratch_bytes` the (possibly demoted) plan actually charges.
+//! beyond a fixed slack (CI smoke gate). Each row reports the
+//! `scratch_bytes` the steady-state plan charges.
 
 use bench::args::Opts;
 use ompsim::{Schedule, ThreadPool};
-use spray::{Kernel, PlanBudget, ReducerView, RegionExecutor, Strategy, Sum};
+use spray::{Kernel, ReducerView, RegionExecutor, Strategy, Sum};
 use std::hint::black_box;
 use std::io::Write;
 use std::ops::Range;
@@ -58,8 +56,7 @@ struct Row {
     /// path never wins at this size.
     break_even_regions: i64,
     planned_regions: u64,
-    /// Scratch bytes the steady-state plan charges (after any
-    /// budget-driven demotions).
+    /// Scratch bytes the steady-state plan charges.
     scratch_bytes: usize,
 }
 
@@ -85,7 +82,6 @@ fn run_config<K: Kernel<f64>>(
     kernel: &K,
     regions: usize,
     reps: usize,
-    budget: PlanBudget,
 ) -> Row {
     assert!(regions >= 3, "need a warm-up, a recording and a replay");
     let mut out = vec![0.0f64; out_len];
@@ -96,7 +92,6 @@ fn run_config<K: Kernel<f64>>(
     let mut scratch_bytes = 0usize;
     for _ in 0..reps {
         let mut ex = RegionExecutor::<f64, Sum>::new(strategy);
-        ex.set_budget(budget);
         for r in 0..regions {
             out.fill(0.0);
             let t0 = Instant::now();
@@ -109,7 +104,6 @@ fn run_config<K: Kernel<f64>>(
         black_box(&out);
 
         let mut ex = RegionExecutor::<f64, Sum>::new(strategy);
-        ex.set_budget(budget);
         for r in 0..regions {
             out.fill(0.0);
             let t0 = Instant::now();
@@ -155,10 +149,6 @@ fn main() {
     let n = opts.n.unwrap_or(if opts.quick { 1 << 14 } else { 1 << 18 });
     let regions = if opts.quick { 6 } else { 12 };
     let block_size = 1024usize;
-    let budget = opts
-        .budget_bytes
-        .map(PlanBudget::new)
-        .unwrap_or(PlanBudget::UNLIMITED);
     let a = spray_sparse::gen::random(n, n, 4 * n, 42);
     let x: Vec<f64> = (0..n)
         .map(|i| ((i % 1013) as f64).mul_add(1e-3, 1.0))
@@ -166,14 +156,8 @@ fn main() {
 
     println!("# plan_amortize: planned vs unplanned steady-state region seconds");
     println!(
-        "# N = {n}, block_size = {block_size}, regions/run = {regions}, reps = {}, \
-         budget_bytes = {}",
-        opts.reps,
-        if budget.is_unlimited() {
-            "unlimited".to_string()
-        } else {
-            budget.max_scratch_bytes.to_string()
-        }
+        "# N = {n}, block_size = {block_size}, regions/run = {regions}, reps = {}",
+        opts.reps
     );
     println!(
         "shape,strategy,threads,unplanned_steady_secs,planned_steady_secs,\
@@ -192,7 +176,6 @@ fn main() {
                 &StencilKernel,
                 regions,
                 opts.reps,
-                budget,
             );
             row.shape = "stream";
             rows.push(row);
@@ -204,7 +187,6 @@ fn main() {
                 &spray_sparse::TmvKernel { a: &a, x: &x },
                 regions,
                 opts.reps,
-                budget,
             );
             row.shape = "tmv";
             rows.push(row);
@@ -229,13 +211,8 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"n\": {n},\n  \"block_size\": {block_size},\n  \"regions_per_run\": {regions},\n  \
-         \"reps\": {},\n  \"budget_bytes\": {},\n  \"results\": [\n",
-        opts.reps,
-        if budget.is_unlimited() {
-            0
-        } else {
-            budget.max_scratch_bytes
-        }
+         \"reps\": {},\n  \"results\": [\n",
+        opts.reps
     ));
     for (k, r) in rows.iter().enumerate() {
         json.push_str(&format!(

@@ -300,9 +300,8 @@ mod tests {
     }
 
     /// The top-level keys of every `RunReport::to_json` document: the
-    /// report's eight fields and nothing else.
-    const REPORT_KEYS: [&str; 8] = [
-        "budget_bytes",
+    /// report's seven fields and nothing else.
+    const REPORT_KEYS: [&str; 7] = [
         "counters",
         "memory_overhead",
         "merge_bandwidth",

@@ -140,11 +140,6 @@ pub struct RegionSignals {
     pub barrier_fraction: f64,
     /// A cached plan was replayed and deviated this region.
     pub deviated: bool,
-    /// Region scratch bytes ([`crate::RunReport::scratch_bytes`]) over
-    /// the scratch budget in force; `0.0` when the budget is unlimited.
-    /// Above `1.0` the strategy spent more privatization memory than the
-    /// caller allows, which is a mismatch regardless of density.
-    pub scratch_pressure: f64,
 }
 
 /// Whether `s` pays per-touched-footprint privatization + merge costs
@@ -180,9 +175,6 @@ pub fn score(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> f6
     if cfg.barrier_limit > 0.0 {
         worst = worst.max(sig.barrier_fraction / cfg.barrier_limit);
     }
-    // Scratch over budget is a mismatch on any strategy (already
-    // normalized: 1.0 = exactly at the budget, 0.0 = unlimited).
-    worst = worst.max(sig.scratch_pressure);
     if sig.deviated {
         worst += 0.5;
     }
@@ -195,14 +187,6 @@ pub fn score(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> f6
 pub fn recommend(current: Strategy, sig: &RegionSignals, cfg: &AdaptiveConfig) -> Strategy {
     let d = sig.applies_per_element;
     let pick = |want: fn(&Strategy) -> bool| cfg.candidates.iter().copied().find(want);
-    // Over the scratch budget: move to atomic, the zero-scratch strategy.
-    if sig.scratch_pressure > 1.0 {
-        if let Some(s) = pick(|s| matches!(s, Strategy::Atomic)) {
-            if s != current {
-                return s;
-            }
-        }
-    }
     // Sparse tail on a privatizing strategy: update in place, or forward
     // to the owner when atomics are not on offer.
     if privatizes(current) && d > 0.0 && d < cfg.sparse_applies_per_elem {
@@ -281,7 +265,6 @@ mod tests {
             contention_ratio: 0.0,
             barrier_fraction: 0.0,
             deviated: false,
-            scratch_pressure: 0.0,
         }
     }
 
@@ -298,22 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pressure_breaks_band_and_routes_to_atomic() {
-        let cfg = AdaptiveConfig::default();
-        let bp = Strategy::BlockPrivate { block_size: 1024 };
-        // Comfortably dense, but 2x over the scratch budget: out of band.
-        let mut s = sig(8.0);
-        assert!(score(bp, &s, &cfg) <= 1.0);
-        s.scratch_pressure = 2.0;
-        assert!(score(bp, &s, &cfg) > 1.0);
-        // The recommendation is the zero-scratch candidate.
-        assert_eq!(recommend(bp, &s, &cfg), Strategy::Atomic);
-        // Exactly at the budget is still in band.
-        s.scratch_pressure = 1.0;
-        assert!(score(bp, &s, &cfg) <= 1.0);
-    }
-
-    #[test]
     fn density_only_disables_timing_borne_signals() {
         let cfg = AdaptiveConfig::density_only(default_candidates(64));
         let bc = Strategy::BlockCas { block_size: 64 };
@@ -323,7 +290,6 @@ mod tests {
             contention_ratio: 1.0,
             barrier_fraction: 1.0,
             deviated: false,
-            scratch_pressure: 0.0,
         };
         assert!(score(bc, &noisy, &cfg) <= 1.0);
         // The density axis still works both ways.
@@ -381,7 +347,6 @@ mod tests {
             contention_ratio: 0.2,
             barrier_fraction: 0.0,
             deviated: false,
-            scratch_pressure: 0.0,
         };
         assert_eq!(
             recommend(Strategy::BlockCas { block_size: 1024 }, &contended, &cfg),

@@ -37,8 +37,8 @@
 //!   block was touched last, so a scatter that switches blocks on every
 //!   update (PageRank's push) stays on the fast path. The table doubles
 //!   as the status table: small sentinel values below any real pointer
-//!   mark a block as not yet resolved (null), budget-demoted, or a
-//!   direct-owned trailing partial block; only those take the slow path.
+//!   mark a block as not yet resolved (null) or a direct-owned trailing
+//!   partial block; only those take the slow path.
 //!   Private copies are allocated at the full (padded) block size so
 //!   every in-block offset is valid; a direct block enters the table only
 //!   when it lies wholly inside the array.
@@ -52,10 +52,10 @@
 //!   `base[i - start]`, so the store address comes from registers, with
 //!   no table load. The window ends at the array's end, so indices in the
 //!   last copy's padding still take the table path. Everything else
-//!   (unplanned and recording regions, exclusive, demoted and deviating
-//!   blocks, runs with gaps, runs outnumbered by the thread's other
-//!   blocks) keeps the table, and a chunk handle without a window runs
-//!   the table path alone, without the window test. The run's table
+//!   (unplanned and recording regions, exclusive and deviating blocks,
+//!   runs with gaps, runs outnumbered by the thread's exclusive blocks)
+//!   keeps the table, and a chunk handle without a window runs the table
+//!   path alone, without the window test. The run's table
 //!   entries point at the same slots, so the epilogue, `finish`, plan
 //!   extraction, scratch retention and the `verify` hooks see the same
 //!   storage and merge order either way, and results stay bit-identical.
@@ -73,10 +73,10 @@
 //! * **Debug-only index assert.** The per-apply bounds `assert!` became a
 //!   `debug_assert!`; release builds bounds-check at block granularity:
 //!   the table lookup misses for blocks past the end, and every slow-path
-//!   update (first touch, demoted block, partial trailing block) carries
-//!   the full check. The chunked drivers perform their own up-front range
-//!   checks, so a wild index cannot touch memory outside the reduction:
-//!   table entries only accept offsets inside their (valid) storage.
+//!   update (first touch, partial trailing block) carries the full check.
+//!   The chunked drivers perform their own up-front range checks, so a
+//!   wild index cannot touch memory outside the reduction: table entries
+//!   only accept offsets inside their (valid) storage.
 //!
 //! Per-thread state that different threads write concurrently (the stash
 //! slots, the CAS ownership words) is cache-line padded to kill false
@@ -126,29 +126,11 @@ const UNOWNED: usize = usize::MAX;
 // the slow path. Unknown is null, so a fresh table is all-unknown.
 /// Not yet resolved this region.
 const UNKNOWN: usize = 0;
-/// Demoted by a [`crate::PlanBudget`]: updates combine into the output in
-/// place under a striped lock — zero scratch, paid in serialization. (The
-/// block reducers' `Element` bound cannot assume hardware atomics; the
-/// pure-atomic path is the `Atomic` strategy.)
-const DEMOTED: usize = 1;
 /// Direct-owned trailing block shorter than the block size: its masked
 /// offsets would run past the array, so every update is checked per index.
-const PARTIAL_DIRECT: usize = 2;
+const PARTIAL_DIRECT: usize = 1;
 /// Entries above this are storage bases.
 const LAST_SENTINEL: usize = PARTIAL_DIRECT;
-
-/// Stripe count for demoted-block in-place updates. A power of two so the
-/// `block % STRIPES` in the apply path is a mask.
-const STRIPES: usize = 64;
-
-/// Per-stripe combining-buffer capacity for demoted updates: appends are
-/// thread-local and a full buffer drains under ONE stripe-lock
-/// acquisition, so the lock cost is amortized over this many updates.
-/// Keeps the budget knob a slope instead of a cliff: without batching,
-/// the first demotion multiplies every affected apply by a lock
-/// round-trip. The buffers are O(stripes) per thread — constant, not
-/// per-block, so they don't count against the plan's scratch budget.
-const DEMOTED_BATCH: usize = 32;
 
 /// Outcome of an ownership claim attempt, distinguished so the telemetry
 /// layer can tell a *lost race* (another thread owns the block — a
@@ -368,10 +350,6 @@ pub struct BlockReduction<'a, T: Element, O: ReduceOp<T>, W: Ownership> {
     flavor: &'static str,
     /// Installed region plan; replayed regions skip ownership claims.
     plan: Option<Arc<RegionPlan>>,
-    /// Striped locks guarding in-place updates to budget-demoted blocks
-    /// (allocated on demand by `install_plan`; empty when the plan has no
-    /// demotions, which is every unbudgeted region).
-    stripes: Vec<CachePadded<Mutex<()>>>,
     /// Sticky flag: some view touched a block outside the installed plan.
     /// The executor reads it after the region to decide on a rebuild; it
     /// is never reset because the executor builds a fresh reduction (over
@@ -506,7 +484,6 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
             telem: TelemetryBoard::new(nthreads),
             flavor,
             plan: None,
-            stripes: Vec::new(),
             deviated: AtomicBool::new(false),
             _borrow: PhantomData,
             _op: PhantomData,
@@ -525,6 +502,41 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
     fn block_range(&self, b: usize) -> std::ops::Range<usize> {
         let lo = b << self.shift;
         lo..((lo + self.block_size()).min(self.out.len()))
+    }
+
+    /// Folds `blk`, a private copy of block `b`, into the output and
+    /// refills it with the identity; returns the elements merged. The
+    /// merge step of both epilogue walks.
+    ///
+    /// # Safety
+    /// After the team barrier, by block `b`'s one merger this region:
+    /// nothing else writes the block in `out`, and `blk`'s thread stopped
+    /// writing the copy at the barrier.
+    unsafe fn merge_copy(&self, b: usize, blk: BlockRef<T>) -> u64 {
+        let range = self.block_range(b);
+        // SAFETY: per the contract; copies hold a full block, so
+        // `range.len()` elements are in bounds of both. The fused kernel
+        // refills the copy in the same pass over its bytes.
+        #[cfg(not(feature = "verify"))]
+        unsafe {
+            kernels::merge_refill_into::<T, O>(
+                self.out.as_mut_ptr().add(range.start),
+                blk.as_ptr(),
+                range.len(),
+            );
+        }
+        // Verify builds keep the seed's per-element combine (each element
+        // is a perturbation hook site) and refill separately — refilling
+        // has no hooks.
+        #[cfg(feature = "verify")]
+        unsafe {
+            let s = blk.as_slice(range.len());
+            for (off, i) in range.clone().enumerate() {
+                self.out.combine::<O>(i, s[off]);
+            }
+            kernels::refill_into::<T, O>(blk.as_ptr(), range.len());
+        }
+        range.len() as u64
     }
 
     /// Detaches the retained scratch (run [`Reduction::finish`] first,
@@ -601,9 +613,6 @@ impl<'a, T: Element, O: ReduceOp<T>, W: Ownership> BlockReduction<'a, T, O, W> {
     /// dirty-list epilogue instead of racing a planned direct owner.
     pub fn install_plan(&mut self, plan: Arc<RegionPlan>) -> bool {
         if plan.matches_block(self.out.len(), self.nthreads, self.block_size()) {
-            if plan.has_atomic() && self.stripes.is_empty() {
-                self.stripes = (0..STRIPES).map(|_| CachePadded(Mutex::new(()))).collect();
-            }
             self.plan = Some(plan);
             true
         } else {
@@ -737,11 +746,6 @@ struct ViewCore<T, O, W> {
     /// Borrow of the parent reduction's ownership table; valid for the
     /// region because the driver keeps the reduction alive and pinned.
     owners: *const W,
-    /// Borrow of the parent reduction's demoted-update stripe locks (may
-    /// be empty — `nstripes == 0` — when the plan has no demotions);
-    /// valid for the region like `owners`.
-    stripes: *const CachePadded<Mutex<()>>,
-    nstripes: usize,
     blocks: Vec<Option<BlockRef<T>>>,
     /// Aligned slab storage behind `blocks` (see [`ViewScratch`]).
     arena: BlockArena<T>,
@@ -758,9 +762,6 @@ struct ViewCore<T, O, W> {
     touched: Vec<u32>,
     /// Blocks privatized this region (drives the sparse epilogue/finish).
     dirty: Vec<u32>,
-    /// Per-stripe combining buffers for demoted updates (empty until the
-    /// first demoted apply; see [`DEMOTED_BATCH`]).
-    demoted_buf: Vec<Vec<(usize, T)>>,
     /// Replaying an installed plan: `resolve` must not claim ownership.
     planned: bool,
     /// This view touched a block outside its plan.
@@ -772,19 +773,23 @@ struct ViewCore<T, O, W> {
 
 impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
     /// Any update whose table entry is not a storage base: first touch,
-    /// a budget-demoted block, a direct-owned partial trailing block, or a
-    /// block past the array.
+    /// a direct-owned partial trailing block, or a block past the array.
     ///
     /// This is the release-mode bounds check: the full index assert runs
     /// here, so `table[b]` never sees a block past the array, and the
     /// fast path only accepts offsets inside a block's (valid) storage.
     ///
-    /// Deliberately NOT `#[cold]`/`#[inline(never)]`: scatters that
+    /// Kept out of line, and deliberately not `#[cold]` (scatters that
     /// touch many blocks take this path once per block and region, and
-    /// both a size-optimized body and a forced call boundary have
-    /// measurably regressed them (the `apply_overhead` microbench covers
-    /// a random-permutation pattern). The fast path weights its branch to
-    /// here with [`unlikely`] instead, which leaves this body as it is.
+    /// a size-optimized body regressed them). Left to itself, LLVM
+    /// inlines this body into every chunk loop, and those loops ran
+    /// slower although their fast path was unchanged (2-vCPU Xeon host):
+    /// perfbench tmv-debr's `step_s.p50` read 2.71 ms against 2.61 ms out
+    /// of line, and `apply_overhead`'s cached rows 1.26–1.52 ns (stream)
+    /// and 1.50–1.56 ns (random) per apply against 1.09 ns and
+    /// 1.34–1.40 ns. The fast path weights its branch to here with
+    /// [`unlikely`].
+    #[inline(never)]
     fn apply_slow(&mut self, table: &mut [*mut T], i: usize, v: T) {
         assert!(
             i < self.len,
@@ -820,7 +825,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
             e = self.resolve(table, b);
         }
         match e as usize {
-            DEMOTED => self.combine_demoted(b, i, v),
             // SAFETY: this thread exclusively owns block `b` of `out`
             // during the loop phase (ownership protocol), and `i < len`.
             PARTIAL_DIRECT => unsafe { self.out.combine::<O>(i, v) },
@@ -896,56 +900,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
             base: first.as_ptr(),
             start,
             len: (hi << self.shift).min(self.len) - start,
-        }
-    }
-
-    /// Buffered combine into a budget-demoted block: the update is
-    /// appended to the block's stripe buffer; a full buffer drains into
-    /// the output under one stripe-lock acquisition. Never a storage
-    /// entry in the table (the fast path writes unserialized).
-    fn combine_demoted(&mut self, b: usize, i: usize, v: T) {
-        debug_assert!(self.nstripes > 0, "demoted block without stripe locks");
-        if self.demoted_buf.is_empty() {
-            self.demoted_buf = (0..self.nstripes)
-                .map(|_| Vec::with_capacity(DEMOTED_BATCH))
-                .collect();
-        }
-        let s = b & (self.nstripes - 1);
-        let buf = &mut self.demoted_buf[s];
-        buf.push((i, v));
-        if buf.len() >= DEMOTED_BATCH {
-            self.flush_demoted(s);
-        }
-    }
-
-    /// Drain one stripe's combining buffer under a single stripe-lock
-    /// acquisition (retains the buffer's capacity).
-    fn flush_demoted(&mut self, s: usize) {
-        let mut buf = std::mem::take(&mut self.demoted_buf[s]);
-        {
-            // SAFETY: the parent reduction (which owns the stripe array)
-            // outlives the view — same contract as `owners`.
-            let stripe = unsafe { &*self.stripes.add(s) };
-            let _g = stripe.0.lock().unwrap_or_else(|e| e.into_inner());
-            for &(i, v) in &buf {
-                // SAFETY: `i < len` (checked at append); concurrent
-                // writers of this block all hold its stripe lock, and
-                // planned direct owners / privatizers never touch a
-                // demoted block.
-                unsafe { self.out.combine::<O>(i, v) };
-            }
-        }
-        buf.clear();
-        self.demoted_buf[s] = buf;
-    }
-
-    /// Drain every non-empty demoted-update buffer; must run before the
-    /// team barrier so the epilogue sees all demoted contributions.
-    fn flush_all_demoted(&mut self) {
-        for s in 0..self.demoted_buf.len() {
-            if !self.demoted_buf[s].is_empty() {
-                self.flush_demoted(s);
-            }
         }
     }
 
@@ -1068,57 +1022,6 @@ fn apply_fast<const WINDOW: bool, T: Element, O: ReduceOp<T>, W: Ownership>(
 #[inline]
 fn unlikely() {}
 
-impl<T: Element, O: ReduceOp<T>, W: Ownership> ViewCore<T, O, W> {
-    /// Batched form of `apply` for both view types: split the run at
-    /// block boundaries, resolve each block's table entry once, and
-    /// stream the in-block stretch through the merge kernel instead of
-    /// re-deciding ownership per element.
-    ///
-    /// Compiled out under `verify`: the per-element default preserves the
-    /// exact `SharedWrite` perturbation-hook sequence of the seed.
-    #[cfg(not(feature = "verify"))]
-    fn apply_run(&mut self, table: &mut [*mut T], start: usize, vals: &[T]) {
-        // One up-front range check covers the whole run (the per-element
-        // path re-checks per apply).
-        assert!(
-            start + vals.len() <= self.len,
-            "reduction run {start}..{} out of bounds (len {})",
-            start + vals.len(),
-            self.len
-        );
-        let mut k = 0;
-        while k < vals.len() {
-            let i = start + k;
-            let b = i >> self.shift;
-            // Elements of this run landing in block `b`.
-            let run_len = (((b + 1) << self.shift).min(start + vals.len())) - i;
-            let mut e = table[b];
-            if e as usize == UNKNOWN {
-                e = self.resolve(table, b);
-            }
-            if e as usize > LAST_SENTINEL {
-                // SAFETY: table invariant — `e` covers offsets `0..=mask`
-                // of block `b`, exclusively writable by this thread; the
-                // stretch stays inside block `b` by construction.
-                unsafe {
-                    kernels::merge_into::<T, O>(
-                        e.add(i & self.mask),
-                        vals.as_ptr().add(k),
-                        run_len,
-                    );
-                }
-            } else {
-                // Demoted or partial trailing direct block: element
-                // applies through the slow path.
-                for (off, &v) in vals[k..k + run_len].iter().enumerate() {
-                    self.apply_slow(table, i + off, v);
-                }
-            }
-            k += run_len;
-        }
-    }
-}
-
 impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O, W> {
     #[inline(always)]
     fn apply(&mut self, i: usize, v: T) {
@@ -1131,11 +1034,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> ReducerView<T> for BlockView<T, O
             i,
             v,
         );
-    }
-
-    #[cfg(not(feature = "verify"))]
-    fn apply_run(&mut self, start: usize, vals: &[T]) {
-        self.core.apply_run(&mut self.table, start, vals);
     }
 
     /// Runs the chunk on a [`ChunkView`] over this view's fields. A view
@@ -1201,16 +1099,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership, const WINDOW: bool> ReducerView<T
         self.applies += 1;
         apply_fast::<WINDOW, _, _, _>(self.win, self.table, self.shift, self.mask, self.core, i, v);
     }
-
-    /// Counts the run as one apply per element and forwards it to the
-    /// block run path (compiled out under `verify`, like
-    /// [`BlockView`]'s).
-    #[cfg(not(feature = "verify"))]
-    #[inline]
-    fn apply_run(&mut self, start: usize, vals: &[T]) {
-        self.applies += vals.len() as u64;
-        self.core.apply_run(self.table, start, vals);
-    }
 }
 
 impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'_, T, O, W> {
@@ -1254,8 +1142,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         let mut core = ViewCore {
             out: self.out,
             owners: &self.owners,
-            stripes: self.stripes.as_ptr(),
-            nstripes: self.stripes.len(),
             blocks,
             arena,
             shift: self.shift,
@@ -1268,20 +1154,18 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
             dirty,
             planned: self.plan.is_some(),
             deviated: false,
-            demoted_buf: Vec::new(),
             counters: Counters::default(),
             _op: PhantomData,
         };
         // Replay: fill the table from the plan so the loop phase never
         // claims ownership — exclusive blocks write straight into `out`,
-        // shared blocks go to (pre-allocated) private copies, demoted
-        // blocks stay on the slow path. Blocks the plan lists but the
-        // region never touches stay identity/unwritten and merge as
-        // no-ops. Shared blocks that form one contiguous run get the
-        // window, laid out before the copies are seeded, when they are at
-        // least half of the thread's planned blocks: with fewer, most
-        // applies would miss the window and pay its test on top of the
-        // table path.
+        // shared blocks go to (pre-allocated) private copies. Blocks the
+        // plan lists but the region never touches stay identity/unwritten
+        // and merge as no-ops. Shared blocks that form one contiguous run
+        // get the window, laid out before the copies are seeded, when they
+        // are at least half of the thread's planned blocks: with fewer,
+        // most applies would miss the window and pay its test on top of
+        // the table path.
         let mut win = Window::NONE;
         if let Some(plan) = self.plan.as_deref() {
             if let Some(tb) = plan.thread_blocks(tid) {
@@ -1293,7 +1177,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                     let (lo, hi) = (lo as usize, last as usize + 1);
                     // Sorted and unique: a run exactly when it has no gap.
                     if hi - lo == tb.shared.len()
-                        && tb.shared.len() >= tb.exclusive.len() + tb.atomic.len()
+                        && tb.shared.len() >= tb.exclusive.len()
                         && core.arena.slots_are_contiguous()
                     {
                         win = core.run_window(lo, hi);
@@ -1303,10 +1187,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                     table[b as usize] = core.private_copy(b as usize).as_ptr();
                     core.touched.push(b);
                     core.dirty.push(b);
-                }
-                for &b in &tb.atomic {
-                    table[b as usize] = DEMOTED as *mut T;
-                    core.touched.push(b);
                 }
             }
         }
@@ -1319,10 +1199,7 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
         }
     }
 
-    fn stash(&self, tid: usize, mut view: Self::View) {
-        // Demoted-update buffers must drain before the barrier so the
-        // epilogue (and the final array) see every contribution.
-        view.core.flush_all_demoted();
+    fn stash(&self, tid: usize, view: Self::View) {
         // `allocated_bytes` counts only copies gained this region;
         // retained ones are still accounted from their region.
         self.mem.sub(view.core.released_bytes);
@@ -1364,7 +1241,6 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
             for &b in plan.merge_list(tid) {
                 let b = b as usize;
                 ompsim::verify::perturb_idx(ompsim::verify::HookPoint::MergeStep, b as u64);
-                let range = self.block_range(b);
                 for t in 0..self.nthreads {
                     // SAFETY: post-barrier, slots are read-only.
                     let Some(scratch) = (unsafe { self.slots.get(t) }) else {
@@ -1375,33 +1251,9 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                     // copy handle alone would also sweep identity copies
                     // retained from earlier regions.
                     if let Some(blk) = scratch.live_copy(b) {
-                        // SAFETY: block `b` is merged only by this thread
-                        // (plan schedule), nothing writes `out`
-                        // post-barrier, and the private copy belongs to a
-                        // thread that stopped writing at the barrier. The
-                        // fused kernel also refills the copy with the
-                        // identity, which `finish` used to do in a second
-                        // pass over the same bytes.
-                        #[cfg(not(feature = "verify"))]
-                        unsafe {
-                            kernels::merge_refill_into::<T, O>(
-                                self.out.as_mut_ptr().add(range.start),
-                                blk.as_ptr(),
-                                range.len(),
-                            );
-                        }
-                        // Verify builds keep the seed's per-element combine
-                        // (each element is a perturbation hook site) and
-                        // refill separately — refilling has no hooks.
-                        #[cfg(feature = "verify")]
-                        unsafe {
-                            let s = blk.as_slice(range.len());
-                            for (off, i) in range.clone().enumerate() {
-                                self.out.combine::<O>(i, s[off]);
-                            }
-                            kernels::refill_into::<T, O>(blk.as_ptr(), range.len());
-                        }
-                        merged_elems += range.len() as u64;
+                        // SAFETY: the plan's schedule names this thread
+                        // block `b`'s one merger.
+                        merged_elems += unsafe { self.merge_copy(b, blk) };
                     }
                 }
             }
@@ -1417,29 +1269,9 @@ impl<T: Element, O: ReduceOp<T>, W: Ownership> Reduction<T> for BlockReduction<'
                         continue;
                     }
                     ompsim::verify::perturb_idx(ompsim::verify::HookPoint::MergeStep, b as u64);
-                    let range = self.block_range(b);
-                    let blk = scratch.blocks[b].unwrap();
-                    // SAFETY: block `b` is merged (and refilled) only by
-                    // this thread — `b % nthreads` is a pure function of
-                    // `b`, partitioning the dirty lists — and owners
-                    // stopped writing at the barrier.
-                    #[cfg(not(feature = "verify"))]
-                    unsafe {
-                        kernels::merge_refill_into::<T, O>(
-                            self.out.as_mut_ptr().add(range.start),
-                            blk.as_ptr(),
-                            range.len(),
-                        );
-                    }
-                    #[cfg(feature = "verify")]
-                    unsafe {
-                        let s = blk.as_slice(range.len());
-                        for (off, i) in range.clone().enumerate() {
-                            self.out.combine::<O>(i, s[off]);
-                        }
-                        kernels::refill_into::<T, O>(blk.as_ptr(), range.len());
-                    }
-                    merged_elems += range.len() as u64;
+                    // SAFETY: `b % nthreads` is a pure function of `b`, so
+                    // this thread is block `b`'s one merger.
+                    merged_elems += unsafe { self.merge_copy(b, scratch.blocks[b].unwrap()) };
                 }
             }
         }
@@ -1845,12 +1677,14 @@ mod tests {
         assert_eq!(out[320..323], [4, 2, 0]);
     }
 
-    /// Iteration `i` adds the run `[1, 2, 3]` at `i..i + 3`.
+    /// Iteration `i` adds `[1, 2, 3]` at `i..i + 3`.
     struct Runs;
 
     impl crate::Kernel<i64> for Runs {
         fn item<V: ReducerView<i64>>(&self, view: &mut V, i: usize) {
-            view.apply_run(i, &[1, 2, 3]);
+            view.apply(i, 1);
+            view.apply(i + 1, 2);
+            view.apply(i + 2, 3);
         }
     }
 
@@ -1858,7 +1692,7 @@ mod tests {
     fn kernel_path_runs_match_sequential_and_count_every_element() {
         // Runs of three straddle block seams (blocks of 16) and end in the
         // partial trailing block of a 100-element array, so the chunk
-        // handle's run path takes the merge kernel, first touches and the
+        // handle's applies take the table path, first touches and the
         // per-element slow path; each element counts as one apply.
         let n = 100;
         let mut want = vec![0i64; n];
@@ -2119,34 +1953,6 @@ mod tests {
         let t = red.telemetry().totals();
         assert_eq!(t.fallback_privatizations, 0, "uncontended: {t:?}");
         assert_eq!(t.merged_bytes, 0);
-    }
-
-    #[test]
-    fn budget_demoted_blocks_update_in_place() {
-        use crate::plan::PlanBudget;
-        let pool = ThreadPool::new(4);
-        let n = 1024;
-        let mut out = vec![0i64; n];
-        let red = BlockPrivateReduction::<i64, Sum>::new(&mut out, 4, 64);
-        // Every thread touches blocks 0..=3; a zero budget demotes all of
-        // them to in-place (stripe-locked) updates.
-        let plan = RegionPlan::for_blocks(n, 4, 64, &vec![vec![0, 1, 2, 3]; 4]);
-        let plan = plan.with_budget(std::mem::size_of::<i64>(), PlanBudget::new(0));
-        assert_eq!(plan.atomic_blocks(), 4);
-        assert_eq!(plan.scratch_bytes(8), 0);
-        let mut red = red;
-        assert!(red.install_plan(std::sync::Arc::new(plan)));
-        reduce(&pool, &red, 0..n, Schedule::dynamic(3), |v, i| {
-            v.apply(i % 256, 1);
-        });
-        assert!(!red.plan_deviated(), "demoted blocks are still planned");
-        let t = red.telemetry().totals();
-        assert_eq!(t.fallback_privatizations, 0, "no copies under zero budget");
-        assert_eq!(t.merged_bytes, 0);
-        drop(red);
-        for (i, &x) in out.iter().enumerate() {
-            assert_eq!(x, if i < 256 { 4 } else { 0 }, "out[{i}]");
-        }
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 use crate::arena::AlignedBuf;
 use crate::elem::{Element, ReduceOp};
-use crate::kernels;
 use crate::reducer::{ReducerView, Reduction};
 use crate::shared::{chunk_of, MemCounter, SharedSlice, Slots};
 use crate::telemetry::{Counters, Telemetry, TelemetryBoard};
@@ -80,16 +79,6 @@ impl<T: Element, O: ReduceOp<T>> ReducerView<T> for DenseView<T, O> {
         let slot = &mut self.buf.as_mut_slice()[i];
         *slot = O::combine(*slot, v);
     }
-
-    #[inline]
-    fn apply_run(&mut self, start: usize, vals: &[T]) {
-        // A run lands in one contiguous stretch of the private buffer, so
-        // it merges as a single kernel call. No perturbation hooks are
-        // skipped: dense loop-phase writes are thread-private (hook-free
-        // in the seed too).
-        let dst = &mut self.buf.as_mut_slice()[start..start + vals.len()];
-        kernels::merge_slices::<T, O>(dst, vals);
-    }
 }
 
 impl<T: Element, O: ReduceOp<T>> Reduction<T> for DenseReduction<'_, T, O> {
@@ -123,7 +112,7 @@ impl<T: Element, O: ReduceOp<T>> Reduction<T> for DenseReduction<'_, T, O> {
                 // SAFETY: out[lo..hi) is written by this thread only.
                 #[cfg(not(feature = "verify"))]
                 unsafe {
-                    kernels::merge_into::<T, O>(
+                    crate::kernels::merge_into::<T, O>(
                         self.out.as_mut_ptr().add(lo),
                         buf.as_ptr().add(lo),
                         hi - lo,

@@ -30,7 +30,7 @@ use crate::dense::DenseReduction;
 use crate::elem::{AtomicElement, ReduceOp};
 use crate::keeper::KeeperReduction;
 use crate::map::{BTreeMapReduction, HashMapReduction};
-use crate::plan::{PlanBudget, RegionPlan};
+use crate::plan::RegionPlan;
 use crate::reducer::{reduce_chunked_phased, ReducerView, Reduction};
 use crate::strategy::{Kernel, Strategy};
 use crate::telemetry::{PhaseBoard, PhaseTimes, RunReport, Telemetry};
@@ -99,10 +99,6 @@ pub struct RegionExecutor<T: crate::Element, O: ReduceOp<T>> {
     migration_secs: f64,
     /// Regions run per strategy label, in first-use order.
     strategy_regions: Vec<(String, u64)>,
-    /// Scratch-memory budget applied to every region: block-flavor plans
-    /// are reshaped with [`crate::RegionPlan::with_budget`] (costly shared
-    /// blocks demoted to in-place updates). Unlimited by default.
-    budget: PlanBudget,
     /// Retained delta-region state ([`RegionExecutor::run_delta`]):
     /// baseline array, per-block tag-sorted contribution logs, result
     /// mirror. Lazily created on the first delta region and independent
@@ -159,29 +155,12 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             migrations: 0,
             migration_secs: 0.0,
             strategy_regions: Vec::new(),
-            budget: PlanBudget::UNLIMITED,
             delta: None,
             delta_regions: 0,
             dirty_blocks: 0,
             retractions: 0,
             _op: PhantomData,
         }
-    }
-
-    /// Caps the scratch memory subsequent regions may spend on
-    /// privatization. Block-flavor plans are reshaped on their next
-    /// (re)build — costliest shared blocks demote to budget-free in-place
-    /// updates until the plan's copies fit. Retained scratch and
-    /// already-cached plans are untouched until they rebuild; pair with
-    /// [`clear_plans`](RegionExecutor::clear_plans) to apply a tighter
-    /// budget immediately.
-    pub fn set_budget(&mut self, budget: PlanBudget) {
-        self.budget = budget;
-    }
-
-    /// The scratch budget applied to regions (unlimited by default).
-    pub fn budget(&self) -> PlanBudget {
-        self.budget
     }
 
     /// The strategy this executor dispatches to.
@@ -357,9 +336,9 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         // A cached plan was replayed and deviated this region (one of the
         // adaptive cost model's inputs); set inside the block arms.
         let mut replay_deviated = false;
-        // Planned privatization footprint (the quantity the budget
-        // constrains), when a plan was replayed or recorded this region;
-        // regions without a plan report their measured overhead instead.
+        // Planned privatization footprint, when a plan was replayed or
+        // recorded this region; regions without a plan report their
+        // measured overhead instead.
         let mut plan_scratch: Option<usize> = None;
         // One-shot arm: construct, execute, drop.
         macro_rules! fresh {
@@ -395,12 +374,7 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                     } else {
                         replay_deviated = installed;
                         let t0 = Instant::now();
-                        // Reshape the recorded footprint to the session's
-                        // scratch budget before caching: replays then
-                        // privatize only the copies the budget affords.
-                        let plan = red
-                            .extract_plan()
-                            .with_budget(std::mem::size_of::<T>(), self.budget);
+                        let plan = red.extract_plan();
                         self.plan_build_secs += t0.elapsed().as_secs_f64();
                         plan_scratch = Some(plan.scratch_bytes(std::mem::size_of::<T>()));
                         self.plans.insert(id, Arc::new(plan));
@@ -447,11 +421,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
         };
         self.tally_region(&report.strategy);
         report.scratch_bytes = plan_scratch.unwrap_or(report.memory_overhead);
-        report.budget_bytes = if self.budget.is_unlimited() {
-            0
-        } else {
-            self.budget.max_scratch_bytes
-        };
         self.adaptive_step(&report, out.len(), replay_deviated);
         report.planned_regions = self.planned_regions;
         report
@@ -532,11 +501,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
             },
             memory_overhead: scratch,
             scratch_bytes: scratch,
-            budget_bytes: if self.budget.is_unlimited() {
-                0
-            } else {
-                self.budget.max_scratch_bytes
-            },
             planned_regions: self.planned_regions,
             counters,
             phases,
@@ -596,11 +560,6 @@ impl<T: AtomicElement, O: ReduceOp<T>> RegionExecutor<T, O> {
                 contention_ratio: totals.contention_ratio(),
                 barrier_fraction: report.phases.barrier_fraction(),
                 deviated,
-                scratch_pressure: if report.budget_bytes == 0 {
-                    0.0
-                } else {
-                    report.scratch_bytes as f64 / report.budget_bytes as f64
-                },
             };
             if score(self.strategy, &signals, &st.cfg) > 1.0 {
                 st.streak += 1;
@@ -654,7 +613,6 @@ where
         memory_overhead: red.memory_overhead(),
         // Patched by `run_inner` after plan bookkeeping settles.
         scratch_bytes: 0,
-        budget_bytes: 0,
         planned_regions: 0,
         counters,
         phases,

@@ -190,21 +190,6 @@ pub unsafe fn merge_into_scalar<T: Element, O: ReduceOp<T>>(dst: *mut T, src: *c
     }
 }
 
-/// Safe slice form of [`merge_into`]; merges `src` into the front of
-/// `dst`.
-///
-/// # Panics
-/// Panics if `src` is longer than `dst`.
-pub fn merge_slices<T: Element, O: ReduceOp<T>>(dst: &mut [T], src: &[T]) {
-    assert!(
-        src.len() <= dst.len(),
-        "merge source longer than destination"
-    );
-    // SAFETY: both slices are valid, element-aligned and disjoint (`dst`
-    // is exclusively borrowed), and `src.len()` is within both.
-    unsafe { merge_into::<T, O>(dst.as_mut_ptr(), src.as_ptr(), src.len()) }
-}
-
 /// Safe slice form of [`refill_into`].
 pub fn refill_slice<T: Element, O: ReduceOp<T>>(dst: &mut [T]) {
     // SAFETY: exclusive, valid, element-aligned.
@@ -455,7 +440,8 @@ mod tests {
             let mut a: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let mut b = a.clone();
             seq_merge::<f64, Sum>(&mut a, &src);
-            merge_slices::<f64, Sum>(&mut b, &src);
+            // SAFETY: disjoint, valid slices of `n` elements.
+            unsafe { merge_into::<f64, Sum>(b.as_mut_ptr(), src.as_ptr(), n) };
             assert_eq!(a, b, "n={n}");
         }
     }
@@ -469,7 +455,8 @@ mod tests {
                 let mut a: Vec<i64> = (0..n).map(|i| i as i64 - 10).collect();
                 let mut b = a.clone();
                 seq_merge::<i64, $op>(&mut a, &src);
-                merge_slices::<i64, $op>(&mut b, &src);
+                // SAFETY: disjoint, valid slices of `n` elements.
+                unsafe { merge_into::<i64, $op>(b.as_mut_ptr(), src.as_ptr(), n) };
                 assert_eq!(a, b, stringify!($op));
             }};
         }
@@ -489,7 +476,8 @@ mod tests {
                 let mut a: Vec<$t> = (0..n).map(conv).collect();
                 let mut b = a.clone();
                 seq_merge::<$t, Sum>(&mut a, &src);
-                merge_slices::<$t, Sum>(&mut b, &src);
+                // SAFETY: disjoint, valid slices of `n` elements.
+                unsafe { merge_into::<$t, Sum>(b.as_mut_ptr(), src.as_ptr(), n) };
                 assert_eq!(a, b, stringify!($t));
             }};
         }

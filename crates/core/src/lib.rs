@@ -105,7 +105,7 @@ pub use executor::{RegionExecutor, ReusableReducer};
 pub use kahan::Kahan64;
 pub use keeper::{KeeperReduction, KeeperView};
 pub use map::{BTreeMapReduction, HashMapReduction, MapLike, MapOpView, MapReduction};
-pub use plan::{PlanBudget, RegionPlan, ThreadBlocks};
+pub use plan::{RegionPlan, ThreadBlocks};
 pub use reducer::{
     reduce, reduce_chunked, reduce_seq, CountedView, ReducerView, Reduction, SeqView,
 };

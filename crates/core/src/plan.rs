@@ -35,41 +35,6 @@
 //! `plan_amortize` bench makes is fair: it shows both the steady-state win
 //! and the number of regions needed to repay the recording overhead.
 
-/// An explicit scratch-memory budget for the plan layer: the planner
-/// keeps the summed bytes of up-front privatized copies at or under
-/// `max_scratch_bytes` by demoting the costliest shared blocks to
-/// per-element atomic updates (zero scratch, paid in contention). The
-/// resulting time-memory curve is observable through
-/// [`crate::RunReport`]'s `scratch_bytes`/`budget_bytes` fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanBudget {
-    /// Upper bound on privatized scratch bytes (`usize::MAX` = unlimited).
-    pub max_scratch_bytes: usize,
-}
-
-impl PlanBudget {
-    /// No budget: the planner privatizes every shared block.
-    pub const UNLIMITED: PlanBudget = PlanBudget {
-        max_scratch_bytes: usize::MAX,
-    };
-
-    /// A budget of `max_scratch_bytes` bytes.
-    pub fn new(max_scratch_bytes: usize) -> PlanBudget {
-        PlanBudget { max_scratch_bytes }
-    }
-
-    /// Whether this budget never constrains anything.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_scratch_bytes == usize::MAX
-    }
-}
-
-impl Default for PlanBudget {
-    fn default() -> Self {
-        PlanBudget::UNLIMITED
-    }
-}
-
 /// One thread's planned block footprint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadBlocks {
@@ -79,9 +44,6 @@ pub struct ThreadBlocks {
     /// Blocks touched by two or more threads — privatized up front during
     /// replay and merged by the plan's schedule.
     pub shared: Vec<u32>,
-    /// Shared blocks demoted to per-element atomic updates by a
-    /// [`PlanBudget`]: no private copy, no merge, zero scratch.
-    pub atomic: Vec<u32>,
 }
 
 /// Strategy-specific payload of a [`RegionPlan`].
@@ -264,30 +226,6 @@ impl RegionPlan {
         }
     }
 
-    /// Whether any thread has budget-demoted blocks (cheap form of
-    /// `atomic_blocks() > 0`, used by `install_plan` to decide whether the
-    /// demoted-update stripe locks are needed).
-    pub(crate) fn has_atomic(&self) -> bool {
-        match &self.kind {
-            PlanKind::Block { per_thread, .. } => per_thread.iter().any(|t| !t.atomic.is_empty()),
-            PlanKind::Keeper { .. } => false,
-        }
-    }
-
-    /// Distinct blocks demoted to atomic updates by a [`PlanBudget`].
-    pub fn atomic_blocks(&self) -> usize {
-        match &self.kind {
-            PlanKind::Block { per_thread, .. } => {
-                let mut seen = std::collections::BTreeSet::new();
-                for t in per_thread {
-                    seen.extend(t.atomic.iter().copied());
-                }
-                seen.len()
-            }
-            PlanKind::Keeper { .. } => 0,
-        }
-    }
-
     /// Estimated up-front privatized scratch a replay of this plan
     /// allocates: one `block_size`-element copy per `(thread, shared
     /// block)` pair, at `elem_bytes` per element. Keeper plans report 0
@@ -303,85 +241,6 @@ impl RegionPlan {
                 copies * block_size * elem_bytes
             }
             PlanKind::Keeper { .. } => 0,
-        }
-    }
-
-    /// Reshapes a block plan to fit `budget`: while the estimated
-    /// privatized scratch ([`RegionPlan::scratch_bytes`]) exceeds the
-    /// budget, the costliest shared block (most contributing copies, ties
-    /// on lower block id) is demoted from privatize-and-merge to
-    /// per-element atomic updates, and the merge schedule is rebalanced
-    /// over the survivors. Exclusive blocks are untouched (direct writes
-    /// cost no scratch), so the curve degrades smoothly from "all
-    /// privatized" to "all shared traffic atomic". Keeper plans and
-    /// unlimited budgets pass through unchanged.
-    pub fn with_budget(&self, elem_bytes: usize, budget: PlanBudget) -> RegionPlan {
-        if budget.is_unlimited() {
-            return self.clone();
-        }
-        let PlanKind::Block {
-            block_size,
-            per_thread,
-            ..
-        } = &self.kind
-        else {
-            return self.clone();
-        };
-        let block_bytes = block_size * elem_bytes;
-        // Copy counts per shared block (recomputed from the footprints so
-        // a plan already reshaped once can be reshaped again).
-        let mut copies = std::collections::BTreeMap::<u32, u64>::new();
-        for t in per_thread {
-            for &b in t.shared.iter().chain(&t.atomic) {
-                *copies.entry(b).or_insert(0) += 1;
-            }
-        }
-        let mut total: usize = copies.values().map(|&c| c as usize * block_bytes).sum();
-        // Costliest first; ties demote the lower block id first so the
-        // reshape is deterministic.
-        let mut order: Vec<(u32, u64)> = copies.iter().map(|(&b, &c)| (b, c)).collect();
-        order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut demoted = std::collections::BTreeSet::new();
-        for (b, c) in order {
-            if total <= budget.max_scratch_bytes {
-                break;
-            }
-            demoted.insert(b);
-            total -= c as usize * block_bytes;
-        }
-        let per_thread: Vec<ThreadBlocks> = per_thread
-            .iter()
-            .map(|t| {
-                let mut tb = ThreadBlocks {
-                    exclusive: t.exclusive.clone(),
-                    ..ThreadBlocks::default()
-                };
-                for &b in t.shared.iter().chain(&t.atomic) {
-                    if demoted.contains(&b) {
-                        tb.atomic.push(b);
-                    } else {
-                        tb.shared.push(b);
-                    }
-                }
-                tb.shared.sort_unstable();
-                tb.atomic.sort_unstable();
-                tb
-            })
-            .collect();
-        let survivors: Vec<(u32, u64)> = copies
-            .iter()
-            .filter(|(b, _)| !demoted.contains(b))
-            .map(|(&b, &c)| (b, c))
-            .collect();
-        let merge = lpt_schedule(&survivors, self.nthreads);
-        RegionPlan {
-            len: self.len,
-            nthreads: self.nthreads,
-            kind: PlanKind::Block {
-                block_size: *block_size,
-                per_thread,
-                merge,
-            },
         }
     }
 }
@@ -468,42 +327,6 @@ mod tests {
         assert_eq!(kp.keeper_counts(), Some(&[0, 3, 4, 0][..]));
         assert!(!kp.is_empty());
         assert!(RegionPlan::for_keeper(100, 2, vec![0; 4]).is_empty());
-    }
-
-    #[test]
-    fn budget_demotes_costliest_shared_blocks() {
-        // Blocks of 16 i64s = 128 bytes/copy. Block 5 has 3 copies (384 B),
-        // block 2 has 2 (256 B): 640 B total privatized scratch.
-        let t = vec![vec![2, 5], vec![2, 5], vec![5]];
-        let plan = RegionPlan::for_blocks(1024, 3, 16, &t);
-        assert_eq!(plan.scratch_bytes(8), 640);
-        assert_eq!(plan.atomic_blocks(), 0);
-
-        // Unlimited budget: untouched.
-        assert_eq!(plan.with_budget(8, PlanBudget::UNLIMITED), plan);
-
-        // 300-byte budget: the costlier block 5 demotes to atomic, block 2
-        // stays privatized (256 B <= 300).
-        let tight = plan.with_budget(8, PlanBudget::new(300));
-        assert_eq!(tight.scratch_bytes(8), 256);
-        assert_eq!(tight.atomic_blocks(), 1);
-        assert_eq!(tight.shared_blocks(), 1);
-        assert_eq!(tight.thread_blocks(0).unwrap().shared, vec![2]);
-        assert_eq!(tight.thread_blocks(0).unwrap().atomic, vec![5]);
-        assert_eq!(tight.thread_blocks(2).unwrap().shared, Vec::<u32>::new());
-        assert_eq!(tight.thread_blocks(2).unwrap().atomic, vec![5]);
-        let merged: Vec<u32> = (0..3).flat_map(|t| tight.merge_list(t).to_vec()).collect();
-        assert_eq!(merged, vec![2]);
-
-        // Zero budget: every shared block goes atomic; reshaping twice is
-        // idempotent.
-        let zero = plan.with_budget(8, PlanBudget::new(0));
-        assert_eq!(zero.scratch_bytes(8), 0);
-        assert_eq!(zero.atomic_blocks(), 2);
-        assert_eq!(zero.shared_blocks(), 0);
-        assert_eq!(zero.with_budget(8, PlanBudget::new(0)), zero);
-        // Demoted copies re-promote if the budget relaxes again.
-        assert_eq!(zero.with_budget(8, PlanBudget::new(1024)), plan);
     }
 
     #[test]

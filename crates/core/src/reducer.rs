@@ -27,31 +27,12 @@ pub trait ReducerView<T: Element> {
     /// bounds of the wrapped array. The block strategies check at block
     /// granularity in release builds: an index in a block past the array
     /// misses the view's base table, and every update the table does not
-    /// resolve (a block's first touch in the region, a budget-demoted
-    /// block, a direct-owned partial trailing block) carries the full
-    /// check, while updates into a resolved block are validated by a
-    /// `debug_assert!`. A wild index can therefore produce garbage in the
-    /// padding of a private block copy but never touches memory outside
-    /// the reduction.
+    /// resolve (a block's first touch in the region, a direct-owned
+    /// partial trailing block) carries the full check, while updates into
+    /// a resolved block are validated by a `debug_assert!`. A wild index
+    /// can therefore produce garbage in the padding of a private block
+    /// copy but never touches memory outside the reduction.
     fn apply(&mut self, i: usize, v: T);
-
-    /// Accumulate a contiguous *run* of contributions:
-    /// `out[start + k] ⊕= vals[k]` for every `k`.
-    ///
-    /// Semantically identical to `vals.len()` calls of
-    /// [`apply`](ReducerView::apply) on consecutive indices — the default
-    /// is exactly that loop — but strategies with contiguous private
-    /// storage override it to resolve the destination block *once* and
-    /// stream the run through the vector kernels in
-    /// [`crate::kernels`], instead of re-deciding ownership per element.
-    /// Loop bodies with stencil-shaped access (`i-1, i, i+1`, …) or any
-    /// batch of consecutive indices should prefer this entry point.
-    #[inline]
-    fn apply_run(&mut self, start: usize, vals: &[T]) {
-        for (k, &v) in vals.iter().enumerate() {
-            self.apply(start + k, v);
-        }
-    }
 
     /// Runs `kernel.item(_, i)` for every `i` in `chunk` through this
     /// view and returns the applies made: the executor hands every
@@ -188,15 +169,6 @@ impl<T: Element, V: ReducerView<T>> ReducerView<T> for CountedView<'_, V> {
     fn apply(&mut self, i: usize, v: T) {
         self.applies += 1;
         self.inner.apply(i, v);
-    }
-
-    #[inline(always)]
-    fn apply_run(&mut self, start: usize, vals: &[T]) {
-        // A run counts as one apply per element, so telemetry (and the
-        // paper's updates/sec plots) stay comparable whether a body uses
-        // element applies or batched runs.
-        self.applies += vals.len() as u64;
-        self.inner.apply_run(start, vals);
     }
 }
 

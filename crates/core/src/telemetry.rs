@@ -503,14 +503,10 @@ pub struct RunReport {
     /// Peak extra bytes the reducer allocated.
     pub memory_overhead: usize,
     /// Privatization scratch this region was planned (or measured) to
-    /// spend — the quantity a [`crate::PlanBudget`] constrains. For
-    /// planned block regions this is the plan's
-    /// [`crate::RegionPlan::scratch_bytes`] (shared-copy bytes after any
-    /// budget demotions); elsewhere it equals `memory_overhead`.
+    /// spend. For planned block regions this is the plan's
+    /// [`crate::RegionPlan::scratch_bytes`] (its shared-copy bytes);
+    /// elsewhere it equals `memory_overhead`.
     pub scratch_bytes: usize,
-    /// The scratch budget in force when the region ran
-    /// ([`crate::PlanBudget::max_scratch_bytes`]); `0` means unlimited.
-    pub budget_bytes: usize,
     /// Regions that replayed one of this executor's plans to completion
     /// without deviating, since its plans were last cleared — the
     /// report's one **cumulative** field: a caller tells whether this
@@ -554,7 +550,6 @@ impl RunReport {
             .field_str("strategy", &self.strategy)
             .field_u64("memory_overhead", self.memory_overhead as u64)
             .field_u64("scratch_bytes", self.scratch_bytes as u64)
-            .field_u64("budget_bytes", self.budget_bytes as u64)
             .field_u64("planned_regions", self.planned_regions)
             .field_f64("merge_bandwidth", self.merge_bandwidth);
         w.key("phases");
@@ -672,7 +667,6 @@ mod tests {
             strategy: "block-CAS-1024".into(),
             memory_overhead: 4096,
             scratch_bytes: 2048,
-            budget_bytes: 3072,
             planned_regions: 9,
             counters: Telemetry {
                 per_thread: vec![
@@ -701,7 +695,6 @@ mod tests {
             "\"strategy\": \"block-CAS-1024\"",
             "\"memory_overhead\": 4096",
             "\"scratch_bytes\": 2048",
-            "\"budget_bytes\": 3072",
             "\"planned_regions\": 9",
             "\"merge_bandwidth\": 256.0",
             "\"loop_secs\": 0.5",

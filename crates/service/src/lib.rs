@@ -204,8 +204,7 @@ struct Slot<'a, T> {
 }
 
 /// Redirects a member job's indices into its segment of the concat
-/// buffer. Runs forward through [`ReducerView::apply_run`] so strategies
-/// with streaming run kernels keep them under batching.
+/// buffer.
 struct OffsetView<'v, T, V: ?Sized> {
     inner: &'v mut V,
     offset: usize,
@@ -216,11 +215,6 @@ impl<T: Element, V: ReducerView<T> + ?Sized> ReducerView<T> for OffsetView<'_, T
     #[inline(always)]
     fn apply(&mut self, i: usize, v: T) {
         self.inner.apply(i + self.offset, v);
-    }
-
-    #[inline(always)]
-    fn apply_run(&mut self, start: usize, vals: &[T]) {
-        self.inner.apply_run(start + self.offset, vals);
     }
 }
 

@@ -78,6 +78,12 @@ fn arena_allocates_slabs_not_per_block() {
 /// array length and team width.
 const WARM_REPLAY_ALLOCS: usize = 8;
 
+/// Allocation ceiling of one recording region over warm scratch,
+/// averaged over the three block flavors at 1, 2 and 4 threads and
+/// n = 2^10 and 2^14: the region itself, the footprint read back and the
+/// plan built from it. The measured mean, 39.33, rounded up.
+const RECORDING_ALLOCS: f64 = 40.0;
+
 /// Runs `regions` PageRank pushes through `reducer`, each recording or
 /// replaying region plan 0, and returns the allocations they made.
 fn planned_pushes(
@@ -194,7 +200,10 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
     // Planned-replay leg: once a plan is recorded and replayed, each
     // further replay allocates only a fixed handful of times for its
     // per-region bookkeeping, the same at every array length and team
-    // width.
+    // width. Recording leg: with the scratch still warm, dropping the
+    // plans and recording again allocates for the region and the new
+    // plan, and nothing else.
+    let mut recordings = Vec::new();
     for n in [1 << 10, 1 << 14] {
         let (offsets, targets) = build_graph(n);
         for threads in [1, 2, 4] {
@@ -241,9 +250,28 @@ fn warm_pagerank_regions_do_not_allocate_scratch() {
                      replays (ceiling {WARM_REPLAY_ALLOCS} per region)",
                     strategy.label()
                 );
+
+                reducer.clear_plans();
+                let recording = planned_pushes(
+                    &pool,
+                    &mut reducer,
+                    &offsets,
+                    &targets,
+                    &mut ranks,
+                    &mut next,
+                    1,
+                );
+                assert_eq!(reducer.planned_regions(), 0, "a recording replayed");
+                recordings.push(recording);
             }
         }
     }
+    let mean = recordings.iter().sum::<usize>() as f64 / recordings.len() as f64;
+    assert!(
+        mean <= RECORDING_ALLOCS,
+        "a recording region over warm scratch allocated {mean:.2} times on average \
+         (ceiling {RECORDING_ALLOCS}; per region: {recordings:?})"
+    );
 }
 
 /// A replayed plan whose shared blocks form one contiguous run lays the

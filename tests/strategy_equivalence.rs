@@ -6,8 +6,8 @@
 use ompsim::{Schedule, ThreadPool};
 use proptest::prelude::*;
 use spray::{
-    reduce_strategy, DeltaBatch, Kernel, Max, Min, PlanBudget, Prod, ReduceOp, ReducerView,
-    RegionExecutor, ReusableReducer, Strategy, Sum,
+    reduce_strategy, DeltaBatch, Kernel, Max, Min, Prod, ReduceOp, ReducerView, RegionExecutor,
+    ReusableReducer, Strategy, Sum,
 };
 
 /// An explicit update stream: iteration i performs updates[i].
@@ -384,28 +384,19 @@ proptest! {
         }
     }
 
-    /// Budget demotion on planned block-CAS: scratch budgets of
-    /// unlimited, two private blocks per thread, and zero (every shared
-    /// block demoted to in-place updates) must stay bit-exact with the
-    /// sequential loop on the recording region, on clean replays of the
-    /// budgeted plan, and on a deviating region that re-records under the
-    /// budget. Every planned region's scratch stays within the budget,
-    /// each report carries the budget (0 = unlimited), and the repeats of
-    /// the recorded stream replay the budgeted plan cleanly.
+    /// Planned block-CAS over a stream whose threads share most blocks
+    /// stays bit-exact with the sequential loop on the recording region,
+    /// on clean replays of the plan, and on a deviating region that
+    /// re-records; the repeats of the recorded stream each count as one
+    /// more clean replay.
     #[test]
-    fn budgeted_block_cas_plans_are_bit_exact(
+    fn planned_block_cas_replays_and_rerecords_bit_exact(
         len in 1usize..200,
         threads in 1usize..6,
         block in prop::sample::select(vec![2usize, 4, 8, 32, 128]),
-        budget_kind in 0usize..3,
         seed in any::<u64>(),
     ) {
         let n_iters = 300;
-        let budget = match budget_kind {
-            0 => PlanBudget::UNLIMITED,
-            1 => PlanBudget::new(2 * threads * block * std::mem::size_of::<i64>()),
-            _ => PlanBudget::new(0),
-        };
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -414,7 +405,7 @@ proptest! {
             state
         };
         // Concentrated indices: threads share most blocks, so the plan
-        // has shared blocks for the budget to demote.
+        // privatizes and merges shared blocks.
         let hot = (len / 4).max(1);
         let mut stream = || -> Vec<Vec<(usize, i64)>> {
             (0..n_iters)
@@ -428,7 +419,6 @@ proptest! {
         };
         let pool = ThreadPool::new(threads);
         let mut ex = RegionExecutor::<i64, Sum>::new(Strategy::BlockCas { block_size: block });
-        ex.set_budget(budget);
         let mut updates = stream();
         // Recording region, two clean replays, then a deviating region.
         for region in 0..4 {
@@ -441,28 +431,13 @@ proptest! {
 
             let kernel = StreamKernel { updates: &updates };
             let mut out = vec![0i64; len];
-            let report =
-                ex.run_planned(0, &pool, &mut out, 0..n_iters, Schedule::default(), &kernel);
-            prop_assert_eq!(
-                &out, &expected,
-                "block-CAS-{} budget {:?} region {}", block, budget, region
-            );
-            if budget.is_unlimited() {
-                prop_assert_eq!(report.budget_bytes, 0, "unlimited encodes as 0");
-            } else {
-                prop_assert_eq!(report.budget_bytes, budget.max_scratch_bytes);
-                prop_assert!(
-                    report.scratch_bytes <= budget.max_scratch_bytes,
-                    "block-CAS-{} region {}: scratch {} over budget {:?}",
-                    block, region, report.scratch_bytes, budget
-                );
-            }
-            // The budgeted plan keeps replaying: each repeat of the
-            // recorded stream is one more clean replay.
+            ex.run_planned(0, &pool, &mut out, 0..n_iters, Schedule::default(), &kernel);
+            prop_assert_eq!(&out, &expected, "block-CAS-{} region {}", block, region);
+            // Each repeat of the recorded stream is one more clean replay.
             if region == 1 || region == 2 {
                 prop_assert_eq!(
                     ex.planned_regions(), replays_before + 1,
-                    "block-CAS-{} budget {:?} region {}: replay deviated", block, budget, region
+                    "block-CAS-{} region {}: replay deviated", block, region
                 );
             }
         }
